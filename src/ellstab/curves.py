@@ -3,6 +3,8 @@
 Curves are represented by integer pairs (A, B) with 4A^3 + 27B^2 != 0 and
 no prime p with p^4 | A and p^6 | B, so each isomorphism class over Q
 appears exactly once.  The height-X box is |A| <= X^2, |B| <= X^3.
+Besides enumerating it, the module counts its curves in closed form and
+unranks a position in lexicographic order without building the box.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,8 @@ def is_minimal(A: int, B: int) -> bool:
     if A == 0 and B == 0:
         return False
     if A == 0:
-        cap = isqrt(isqrt(isqrt(B * B)))  # floor(|B|^(1/6)) up to rounding slack
+        # floor(|B|^(1/4)): a safe cap, since p^6 | B needs p <= |B|^(1/6)
+        cap = isqrt(isqrt(isqrt(B * B)))
         return all(B % p**6 != 0 for p in primes_up_to(cap + 1))
     cap = isqrt(isqrt(abs(A)))
     return all(A % p**4 != 0 or B % p**6 != 0 for p in primes_up_to(cap + 1))
@@ -66,43 +69,142 @@ def enumerate_curves(X: int) -> Iterator[CurveModel]:
             yield CurveModel(A, B)
 
 
+def _check_height(X: int) -> None:
+    if X < 1:
+        raise ValueError("height bound X must be >= 1")
+
+
+def box_rows(X: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(A, increasing array of the B with (A, B) a curve) for each A, increasing."""
+    _check_height(X)
+    ps = primes_up_to(isqrt(X))  # p^4 <= X^2: the primes that can break minimality
+    b = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
+    b_sq27 = 27 * b * b
+    for A in range(-X * X, X * X + 1):
+        mask = (4 * A**3 + b_sq27) != 0
+        for p in ps:
+            if A % p**4 == 0:
+                mask &= (b % p**6) != 0
+        yield A, b[mask]
+
+
 def curve_box(X: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (A, B) of all curves in the height-X box, lexicographic order.
 
     Vectorized equivalent of enumerate_curves for batch sweeps.
     """
-    if X < 1:
-        raise ValueError("height bound X must be >= 1")
-    ps = [p for p in primes_up_to(isqrt(X) + 1) if p**4 <= X * X or p**6 <= X**3]
-    b = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
-    b_sq27 = 27 * b * b
     a_chunks, b_chunks = [], []
-    for A in range(-X * X, X * X + 1):
-        mask = (4 * A**3 + b_sq27) != 0
-        for p in ps:
-            if A % p**4 == 0:
-                mask &= (b % p**6) != 0
-        sel = b[mask]
+    for A, sel in box_rows(X):
         a_chunks.append(np.full(len(sel), A, dtype=np.int64))
         b_chunks.append(sel)
     return np.concatenate(a_chunks), np.concatenate(b_chunks)
 
 
+# -- closed-form box model ---------------------------------------------------
+#
+# Row A of the box holds the B in [-X^3, X^3] that no p^6 divides for any box
+# prime p with p^4 | A, minus the singular B.  Inclusion-exclusion over the
+# squarefree d whose primes all satisfy p^4 | A counts a row without a mask;
+# such d have d^4 | A, so d <= sqrt(X) when A != 0.  The singular pairs are
+# (0, 0) and (-3m^2, +-2m^3), and p^4 | 3m^2 with p^6 | 2m^3 exactly when
+# p^2 | m, so those with m squarefree survive the p-condition and are removed
+# by hand; 3m^2 <= X^2 already gives 2m^3 <= X^3.
+
+
+def _mobius(n: int) -> np.ndarray:
+    """mu(k) for k = 0..n (mu(0) = 0), sieved from primes_up_to(n)."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes_up_to(n):
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    return mu
+
+
+def _sieve_terms(X: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, mu(d)) over the squarefree d <= sqrt(X), d = 1 first."""
+    mu = _mobius(isqrt(X))
+    d = np.flatnonzero(mu)
+    return d, mu[d]
+
+
+def _singular_m(X: int) -> np.ndarray:
+    """The m >= 1 whose singular pairs (-3m^2, +-2m^3) pass the p-condition."""
+    mu = _mobius(isqrt(X * X // 3))
+    return np.flatnonzero(mu)
+
+
 def count_curves(X: int) -> int:
-    """#C(X), computed without materializing curve objects."""
-    if X < 1:
-        raise ValueError("height bound X must be >= 1")
-    ps = [p for p in primes_up_to(isqrt(X) + 1) if p**4 <= X * X or p**6 <= X**3]
-    b = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
-    b_sq27 = 27 * b * b
+    """#C(X) in closed form: the row counts of the box model, summed by d.
+
+    Rows with d^4 | A number 2*floor(X^2/d^4) + 1, A = 0 included; the A = 0
+    row also loses B = 0, which the sum gives weight sum(mu(d)).
+    """
+    _check_height(X)
+    a_bound, b_bound = X * X, X**3
     total = 0
-    for A in range(-X * X, X * X + 1):
-        mask = (4 * A**3 + b_sq27) != 0
-        for p in ps:
-            if A % p**4 == 0:
-                mask &= (b % p**6) != 0
-        total += int(mask.sum())
-    return total
+    d, mu = _sieve_terms(X)
+    for di, mi in zip(d.tolist(), mu.tolist()):
+        total += mi * ((2 * (b_bound // di**6) + 1) * (2 * (a_bound // di**4) + 1) - 1)
+    return total - 2 * len(_singular_m(X))
+
+
+def _row_counts(X: int) -> np.ndarray:
+    """N(A) = #{B : (A, B) in C(X)} for A = -X^2, ..., X^2."""
+    a_bound, b_bound = X * X, X**3
+    counts = np.zeros(2 * a_bound + 1, dtype=np.int64)
+    d, mu = _sieve_terms(X)
+    for di, mi in zip(d.tolist(), mu.tolist()):
+        counts[a_bound % di**4 :: di**4] += mi * (2 * (b_bound // di**6) + 1)
+    counts[a_bound] -= int(mu.sum())  # A = 0 loses B = 0
+    counts[a_bound - 3 * _singular_m(X) ** 2] -= 2
+    return counts
+
+
+def unrank(X: int, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of the curves at positions idx of curve_box(X), without building it.
+
+    The row comes from the prefix sums of the row counts.  Inside a row the
+    rank-th valid B lies between rank - X^3 and that plus the number of B the
+    row excludes, which is zero in most rows; a binary search on the
+    closed-form count of valid B <= y finds it in the others.
+    """
+    _check_height(X)
+    if count_curves(X) > np.iinfo(np.int64).max:
+        raise ValueError(f"the height-{X} box is too large to index in int64")
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    counts = _row_counts(X)
+    ends = np.cumsum(counts)
+    if idx.size and (idx.min() < 0 or idx.max() >= ends[-1]):
+        raise ValueError(f"curve index out of range [0, {int(ends[-1])})")
+    row = np.searchsorted(ends, idx, side="right")
+    rank = idx - (ends[row] - counts[row])
+    b_bound = X**3
+    B = rank - b_bound  # exact in a row that excludes no B
+    excluded = 2 * b_bound + 1 - counts[row]
+
+    search = np.flatnonzero(excluded > 0)
+    A = row[search] - X * X
+    lo, rank = B[search], rank[search]
+    hi = lo + excluded[search]
+    d, mu = _sieve_terms(X)
+    d6 = d**6
+    weight = np.where(A[:, None] % d**4 == 0, mu, 0)
+    zero_weight = np.where(A == 0, mu.sum(), 0)  # B = 0 at A = 0 is never a curve
+    m_of_row = np.zeros(len(counts), dtype=np.int64)
+    m_sing = _singular_m(X)
+    m_of_row[X * X - 3 * m_sing**2] = m_sing
+    m = m_of_row[row[search]]
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        below = (weight * (mid[:, None] // d6 - (-b_bound - 1) // d6)).sum(axis=1)
+        below -= zero_weight * (mid >= 0)
+        below -= np.where(m > 0, (mid >= -2 * m**3).astype(np.int64) + (mid >= 2 * m**3), 0)
+        enough = below > rank
+        hi = np.where(enough, mid, hi)
+        lo = np.where(enough, lo, mid + 1)
+    B[search] = lo
+    return row - X * X, B
 
 
 def reduce_mod_p(c: CurveModel, p: int) -> tuple[int, int]:

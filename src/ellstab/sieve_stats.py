@@ -3,15 +3,16 @@
 The variance statistic averages (pi_pair - delta * pi)^2 over curve pairs,
 exactly when the pair space is small and by seeded Monte Carlo otherwise;
 both paths reduce to integer moment sums, so V is always an exact rational.
+The Monte Carlo path draws box indices first and unranks only the sampled
+curves, so it never builds the box.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
-from .curves import CurveModel, count_curves, curve_box, discriminant
+from .curves import CurveModel, box_rows, count_curves, curve_box, discriminant, unrank
 from .matgroup import delta_density
 from .primes import primes_up_to
 from .traces import SINGULAR, frobenius_trace, trace_census_table
@@ -75,14 +76,14 @@ class SieveStat:
 def _match_columns(
     A: np.ndarray, B: np.ndarray, X: int, t: int, d: int, ell: int
 ) -> list[np.ndarray]:
-    """Per admissible prime, the bool vector [p good and t_p = t] over the box."""
+    """Per admissible prime, the bool vector [p good and t_p = t] over the curves.
+
+    For p >= 5, p | disc exactly when the census entry is SINGULAR.
+    """
     cols = []
-    disc = -16 * (4 * A**3 + 27 * B**2)
     for p in _admissible_primes(X, d, ell):
-        table = trace_census_table(p)
-        a_p = table[A % p, B % p]
-        good = (a_p != SINGULAR) & (disc % p != 0)
-        cols.append(good & (a_p.astype(np.int64) % ell == t % ell))
+        a_p = trace_census_table(p)[A % p, B % p]
+        cols.append((a_p != SINGULAR) & (a_p.astype(np.int64) % ell == t % ell))
     return cols
 
 
@@ -100,17 +101,16 @@ def variance_stat(
         raise ValueError("d must be nonzero mod ell")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    A, B = curve_box(X)
-    n = len(A)
+    n = count_curves(X)
     delta = pair_delta(t1, t2, d, ell)
     pi = pi_count(X, d, ell)
     mean = delta * pi
 
-    x_cols = _match_columns(A, B, X, t1, d, ell)
-    y_cols = _match_columns(A, B, X, t2, d, ell)
-
     exhaustive = n * n <= _EXHAUSTIVE_PAIR_LIMIT
     if exhaustive:
+        A, B = curve_box(X)
+        x_cols = _match_columns(A, B, X, t1, d, ell)
+        y_cols = _match_columns(A, B, X, t2, d, ell)
         num_pairs = n * n
         # pi_pair(E1, E2) = sum_p x_p(E1) y_p(E2); expand the square in moments
         sum_k = 0
@@ -129,9 +129,11 @@ def variance_stat(
         rng = np.random.default_rng(seed)
         i1 = rng.integers(0, n, size=sample_size)
         i2 = rng.integers(0, n, size=sample_size)
+        x_cols = _match_columns(*unrank(X, i1), X, t1, d, ell)
+        y_cols = _match_columns(*unrank(X, i2), X, t2, d, ell)
         k = np.zeros(sample_size, dtype=np.int64)
         for xc, yc in zip(x_cols, y_cols):
-            k += xc[i1] & yc[i2]
+            k += xc & yc
         sum_k = int(k.sum())
         sum_k2 = int((k * k).sum())
 
@@ -152,21 +154,11 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
             continue
         targets[p] = frobenius_trace(a.A, a.B, p) % ell
 
-    b = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
     total = 0
     matched = 0
-    box_ps = [
-        p
-        for p in primes_up_to(isqrt(X) + 1)
-        if p**4 <= X * X or p**6 <= X**3
-    ]
-    for A in range(-X * X, X * X + 1):
-        valid = (4 * A**3 + 27 * b * b) != 0
-        for p in box_ps:
-            if A % p**4 == 0:
-                valid &= (b % p**6) != 0
-        total += int(valid.sum())
-        alive = valid.copy()
+    for A, b in box_rows(X):
+        total += len(b)
+        alive = np.ones(len(b), dtype=bool)
         for p, ta in targets.items():
             if not alive.any():
                 break

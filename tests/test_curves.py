@@ -1,7 +1,13 @@
+from functools import lru_cache
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellstab.curves import (
     CurveModel,
+    _row_counts,
     count_curves,
     curve_box,
     discriminant,
@@ -9,6 +15,7 @@ from ellstab.curves import (
     height,
     is_minimal,
     reduce_mod_p,
+    unrank,
 )
 from ellstab.errors import BadReduction, InvalidCurve
 
@@ -89,6 +96,61 @@ def test_count_monotone_and_near_asymptotic():
     c1 = 4 / 1.0009945751278182  # 4/zeta(10)
     rel = {X: abs(counts[X] / (c1 * X**5) - 1) for X in counts}
     assert rel[30] < rel[20] < rel[10]
+
+
+@pytest.mark.parametrize("X", range(1, 9))
+def test_unrank_every_index_reproduces_curve_box(X):
+    A, B = curve_box(X)
+    uA, uB = unrank(X, np.arange(len(A)))
+    assert uA.tolist() == A.tolist()
+    assert uB.tolist() == B.tolist()
+
+
+@lru_cache(maxsize=None)
+def enumerated(X):
+    return [(c.A, c.B) for c in enumerate_curves(X)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda X: st.tuples(
+    st.just(X), st.lists(st.integers(0, len(enumerated(X)) - 1), min_size=1, max_size=20))))
+def test_unrank_matches_enumeration_at_random_indices(case):
+    X, idx = case
+    A, B = unrank(X, idx)
+    assert list(zip(A.tolist(), B.tolist())) == [enumerated(X)[i] for i in idx]
+
+
+@pytest.mark.parametrize(
+    "X, n",
+    [(10, 401_782), (17, 5_684_070), (20, 12_803_796), (24, 31_847_116), (30, 97_158_786)],
+)
+def test_count_curves_known_values(X, n):
+    assert count_curves(X) == n
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 300))
+def test_count_curves_is_the_sum_of_row_counts(X):
+    counts = _row_counts(X)
+    assert len(counts) == 2 * X * X + 1
+    assert count_curves(X) == int(counts.sum())
+    assert (counts >= 0).all()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 40), st.one_of(st.integers(-(2**63), -1), st.integers(0, 10**12)))
+def test_unrank_rejects_out_of_range_indices(X, i):
+    n = count_curves(X)
+    if 0 <= i < n:
+        i += n
+    with pytest.raises(ValueError):
+        unrank(X, [0, i])
+
+
+def test_bad_height_rejected():
+    for fn in (count_curves, curve_box, lambda X: unrank(X, [0])):
+        with pytest.raises(ValueError):
+            fn(0)
 
 
 def test_reduce_mod_p():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ellstab.curves import CurveModel, count_curves, discriminant, enumerate_curves
+from ellstab.curves import CurveModel, count_curves, curve_box, discriminant, enumerate_curves, unrank
 from ellstab.galois_image import t_A_proxy_member
 from ellstab.primes import primes_up_to
 from ellstab.sieve_stats import (
+    _admissible_primes,
+    _match_columns,
     curve_count_check,
     pair_delta,
     pi_count,
@@ -15,7 +18,7 @@ from ellstab.sieve_stats import (
     variance_stat,
     zeta10,
 )
-from ellstab.traces import frobenius_trace
+from ellstab.traces import SINGULAR, frobenius_trace, trace_census_table
 
 
 def test_pi_count_examples():
@@ -140,6 +143,69 @@ def test_monte_carlo_estimates_exhaustive():
         )
     avg = sum(ests) / len(ests)
     assert abs(float(avg - exact)) < 0.05
+
+
+def full_box_monte_carlo(X, t1, t2, d, ell, sample_size, seed):
+    """Reference: the Monte Carlo V as computed before sampling came first.
+
+    Builds the whole box and a column per admissible prime over it, with the
+    discriminant test written out, then indexes the columns with the draws.
+    """
+
+    def columns(A, B, t):
+        cols = []
+        disc = -16 * (4 * A**3 + 27 * B**2)
+        for p in _admissible_primes(X, d, ell):
+            a_p = trace_census_table(p)[A % p, B % p]
+            good = (a_p != SINGULAR) & (disc % p != 0)
+            cols.append(good & (a_p.astype(np.int64) % ell == t % ell))
+        return cols
+
+    A, B = curve_box(X)
+    n = len(A)
+    x_cols, y_cols = columns(A, B, t1), columns(A, B, t2)
+    rng = np.random.default_rng(seed)
+    i1 = rng.integers(0, n, size=sample_size)
+    i2 = rng.integers(0, n, size=sample_size)
+    k = np.zeros(sample_size, dtype=np.int64)
+    for xc, yc in zip(x_cols, y_cols):
+        k += xc[i1] & yc[i2]
+    mean = pair_delta(t1, t2, d, ell) * pi_count(X, d, ell)
+    return (
+        Fraction(int((k * k).sum()), sample_size)
+        - 2 * mean * Fraction(int(k.sum()), sample_size)
+        + mean * mean
+    )
+
+
+@pytest.mark.parametrize("X", [8, 12])
+@pytest.mark.parametrize("seed", [1, 7, 20240101])
+@pytest.mark.parametrize("t1, t2, d, ell", [(1, 2, 1, 5), (2, 3, 2, 5), (0, 3, 5, 7)])
+def test_sampled_variance_equals_full_box_reference(X, seed, t1, t2, d, ell):
+    st = variance_stat(X, t1, t2, d, ell, 20000, seed)
+    assert not st.exhaustive
+    assert st.V == full_box_monte_carlo(X, t1, t2, d, ell, 20000, seed)
+
+
+@pytest.mark.parametrize("t1, t2, d, ell", [(1, 2, 1, 5), (0, 3, 2, 7)])
+def test_sampled_pairs_match_scalar_oracle_at_X_100(t1, t2, d, ell):
+    # the X=100 box has about 4e10 curves: only the sampled ones are unranked
+    X, samples, seed = 100, 50, 11
+    rng = np.random.default_rng(seed)
+    i1 = rng.integers(0, count_curves(X), size=samples)
+    i2 = rng.integers(0, count_curves(X), size=samples)
+    (A1, B1), (A2, B2) = unrank(X, i1), unrank(X, i2)
+    k = np.zeros(samples, dtype=np.int64)
+    for xc, yc in zip(_match_columns(A1, B1, X, t1, d, ell), _match_columns(A2, B2, X, t2, d, ell)):
+        k += xc & yc
+    oracle = [
+        pi_pair(CurveModel(a1, b1), CurveModel(a2, b2), X, t1, t2, d, ell)
+        for a1, b1, a2, b2 in zip(A1.tolist(), B1.tolist(), A2.tolist(), B2.tolist())
+    ]
+    assert k.tolist() == oracle
+    mean = pair_delta(t1, t2, d, ell) * pi_count(X, d, ell)
+    expected = sum((Fraction(kk) - mean) ** 2 for kk in oracle) / samples
+    assert variance_stat(X, t1, t2, d, ell, samples, seed).V == expected
 
 
 def test_proxy_ratio_matches_member_scan():
