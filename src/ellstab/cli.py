@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("countcheck", cmd_countcheck, help="curve count vs C1*X^5")
     p.add_argument("--X-list", type=_parse_int_list, required=True)
-
-    parser.add_argument("--threads", type=int, default=1, help="reserved; output order is fixed regardless")
     return parser
 
 

@@ -9,12 +9,13 @@ reported as Undetermined, never as non-surjectivity.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from .curves import CurveModel, curve_box, discriminant
-from .matgroup import kronecker_mod_ell
-from .primes import primes_up_to
+from .matgroup import _primitive_root
+from .primes import check_ell, primes_up_to
 from .traces import SINGULAR, frobenius_trace, legendre_table, trace_census_table
 
 SURJECTIVE_PROVEN = "SurjectiveProven"
@@ -22,7 +23,7 @@ UNDETERMINED = "Undetermined"
 
 MEMBER = "Member"
 
-#: stage-1 cap for the batch sweep: primes below this use full (r, s) tables
+#: primes below this cap read full (r, s) trace tables in the batch sweep
 _TABLE_PRIME_CAP = 200
 
 
@@ -47,53 +48,46 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=16)
-def _witness_tables(ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(is_nonzero_square, is_nonsquare, exceptional_ok) boolean tables mod ell."""
-    sq = np.zeros(ell, dtype=bool)
-    for v in range(1, ell):
-        sq[(v * v) % ell] = True
-    nonsq = ~sq
-    nonsq[0] = False
-    ok_u = np.zeros(ell, dtype=bool)
-    for u in range(ell):
-        if u in (0 % ell, 1 % ell, 2 % ell, 4 % ell):
-            continue
-        if (u * u - 3 * u + 1) % ell == 0:
-            continue
-        ok_u[u] = True
-    return sq, nonsq, ok_u
+def _witness_tables(ell: int) -> tuple[np.ndarray, list, list]:
+    """(flags, inv, nonsq): lookups mod ell for _witnesses.
+
+    A trace t at d = p mod ell has t^2 - 4d = d(u - 4) with u = t^2/d, so its
+    flags depend on u and on the square class of d only: flags[nonsq[d], :, u].
+    inv[d] is the inverse of the unit d, and nonsq[d] is 1 iff d is not a square.
+    """
+    chi = legendre_table(ell)
+    u = np.arange(ell)
+    c = np.where(u == 0, 0, chi[(u - 4) % ell])
+    excl = ((u * u - 3 * u + 1) % ell != 0) & ~np.isin(u, (0, 1, 2, 4))
+    flags = np.array([[c == 1, c == -1, excl], [c == -1, c == 1, excl]])
+    inv = [0] + [pow(d, -1, ell) for d in range(1, ell)]
+    return flags, inv, [int(v < 0) for v in chi]
 
 
 @lru_cache(maxsize=16)
-def _generates_units(ell: int) -> np.ndarray:
-    """gen[mask] = True iff the d-values in the bitmask generate (Z/ell)^x."""
-    full = ell - 1
-    out = np.zeros(1 << full, dtype=bool)
-    for mask in range(1 << full):
-        sub = {1}
-        frontier = [1]
-        gens = [d for d in range(1, ell) if mask >> (d - 1) & 1]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = (x * g) % ell
-                    if y not in sub:
-                        sub.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        out[mask] = len(sub) == full
-    return out
+def _unit_logs(ell: int) -> list[int]:
+    """log[d] for each unit d mod ell, to a fixed primitive root.
+
+    Units d_1, d_2, ... generate (Z/ell)^x iff gcd(ell - 1, log d_1, ...) = 1.
+    """
+    log = [0] * ell
+    g, x = _primitive_root(ell), 1
+    for k in range(ell - 1):
+        log[x] = k
+        x = x * g % ell
+    return log
 
 
-def _classify_witnesses(t: int, d: int, ell: int) -> tuple[bool, bool, bool]:
-    """(split, nonsplit, exceptional-excluding) witness flags for one record."""
-    sq, nonsq, ok_u = _witness_tables(ell)
-    if t % ell == 0:
-        return False, False, False
-    disc = (t * t - 4 * d) % ell
-    u = (t * t * pow(d, -1, ell)) % ell
-    return bool(sq[disc]), bool(nonsq[disc]), bool(ok_u[u])
+def _witnesses(t, d: int, ell: int) -> np.ndarray:
+    """(split, nonsplit, exceptional-excluding) flags of trace t at d = p mod ell.
+
+    A trace is split (nonsplit) iff t != 0 and t^2 - 4d is a nonzero square (a
+    non-square) mod ell; it excludes the exceptional groups iff u = t^2/d is
+    none of 0, 1, 2, 4 and no root of u^2 - 3u + 1.  t is an int, giving three
+    flags, or an integer array, giving a (3, len(t)) array.
+    """
+    flags, inv, nonsq = _witness_tables(ell)
+    return flags[nonsq[d]][:, t * t * inv[d] % ell]
 
 
 def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
@@ -102,40 +96,31 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
     Returns SurjectiveProven iff a split witness, a nonsplit witness, an
     exceptional-excluding witness, and determinant coverage are all found.
     """
+    check_ell(ell)
     if bound < 5:
         raise ValueError("prime bound must be >= 5")
+    log = _unit_logs(ell)
     disc = discriminant(c)
     w: dict = {"split": None, "nonsplit": None, "exceptional": None, "det": {}}
-    gen_table = _generates_units(ell)
-    dmask = 0
+    g = ell - 1
     for p in primes_up_to(bound):
         if p < 5 or p == ell or disc % p == 0:
             continue
+        d = p % ell
         a = frobenius_trace(c.A, c.B, p)
-        t, d = a % ell, p % ell
-        s, n, e = _classify_witnesses(t, d, ell)
-        if s and w["split"] is None:
+        split, nonsplit, exceptional = _witnesses(a, d, ell).tolist()
+        if split and w["split"] is None:
             w["split"] = p
-        if n and w["nonsplit"] is None:
+        if nonsplit and w["nonsplit"] is None:
             w["nonsplit"] = p
-        if e and w["exceptional"] is None:
+        if exceptional and w["exceptional"] is None:
             w["exceptional"] = p
         if d not in w["det"]:
             w["det"][d] = p
-            dmask |= 1 << (d - 1)
-        if (
-            w["split"] is not None
-            and w["nonsplit"] is not None
-            and w["exceptional"] is not None
-            and gen_table[dmask]
-        ):
+            g = gcd(g, log[d])
+        if g == 1 and w["split"] and w["nonsplit"] and w["exceptional"]:
             return ImageVerdict(SURJECTIVE_PROVEN, w, bound)
     return ImageVerdict(UNDETERMINED, w, bound)
-
-
-def gl2prime_from_gl2(v: ImageVerdict) -> ImageVerdict:
-    """A surjection onto GL2 stays surjective after the quotient by <-1>."""
-    return v
 
 
 def t_kl_member(c: CurveModel, ell: int, K: FieldSpec, bound: int) -> str:
@@ -145,8 +130,7 @@ def t_kl_member(c: CurveModel, ell: int, K: FieldSpec, bound: int) -> str:
     ell > [K:Q] (so ell does not divide [K:Q]!) or when the supplied Galois
     closure degree is prime to ell.  Anything else is Undetermined.
     """
-    if ell < 5:
-        raise ValueError("ell must be >= 5")
+    check_ell(ell)
     v = classify_image(c, ell, bound)
     if v.status != SURJECTIVE_PROVEN:
         return UNDETERMINED
@@ -188,78 +172,49 @@ class SweepResult:
         return self.proven / self.total if self.total else float("nan")
 
 
+def _traces(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_p, good) of the curves (r, s) mod p: int64, a_p = 0 where singular.
+
+    Primes below _TABLE_PRIME_CAP read the per-prime census table; larger ones
+    take the character sum.
+    """
+    if p < _TABLE_PRIME_CAP:
+        a = trace_census_table(p)[r, s]
+        good = a != SINGULAR
+        return np.where(good, a, 0).astype(np.int64), good
+    chi = legendre_table(p)
+    a = np.zeros(len(r), dtype=np.int64)
+    for x in range(p):
+        a -= chi[(x * x * x % p + r * x + s) % p]
+    good = (4 * r * r % p * r + 27 * s * s) % p != 0
+    return np.where(good, a, 0), good
+
+
 def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     """classify_image verdicts for every curve in the height-X box.
 
-    Stage 1 walks primes below _TABLE_PRIME_CAP through full per-prime trace
-    tables; curves still lacking a witness class then scan the remaining
-    primes up to bound with vectorized character sums.
+    One pass over the primes, on the curves not yet proven: a curve is dropped
+    after the prime that completes its witnesses.  The determinant test keeps
+    one running gcd per curve (it divides ell - 1, so int32 holds it).
     """
+    check_ell(ell)
     A, B = curve_box(X)
     n = len(A)
-    sq, nonsq, ok_u = _witness_tables(ell)
-    gen_table = _generates_units(ell)
-
-    w1 = np.zeros(n, dtype=bool)
-    w2 = np.zeros(n, dtype=bool)
-    w3 = np.zeros(n, dtype=bool)
-    cov = np.zeros(n, dtype=np.int32)
-
-    inv = [0] + [pow(d, -1, ell) for d in range(1, ell)]
-    stage2_start = min(_TABLE_PRIME_CAP, bound + 1)
-
-    for p in primes_up_to(min(_TABLE_PRIME_CAP - 1, bound)):
+    log = _unit_logs(ell)
+    proven = np.zeros(n, dtype=bool)
+    surv = np.arange(n)
+    flags = np.zeros((3, n), dtype=bool)
+    g = np.full(n, ell - 1, dtype=np.int32)
+    for p in primes_up_to(bound):
         if p < 5 or p == ell:
             continue
-        table = trace_census_table(p)
-        a_p = table[A % p, B % p]
-        good = a_p != SINGULAR
-        t = np.where(good, a_p.astype(np.int64) % ell, 0)
-        d = p % ell
-        tnz = good & (t != 0)
-        disc = (t * t - 4 * d) % ell
-        u = (t * t * inv[d]) % ell
-        w1 |= tnz & sq[disc]
-        w2 |= tnz & nonsq[disc]
-        w3 |= tnz & ok_u[u]
-        cov[good] |= np.int32(1 << (d - 1))
-
-    proven = w1 & w2 & w3 & gen_table[cov]
-
-    # stage 2: per-curve character sums for the stragglers
-    surv = np.flatnonzero(~proven)
-    if len(surv) and bound >= stage2_start:
-        As = A[surv]
-        Bs = B[surv]
-        disc_s = -16 * (4 * As**3 + 27 * Bs**2)
-        for p in primes_up_to(bound):
-            if p < stage2_start or p == ell:
-                continue
-            chi = legendre_table(p)
-            acc = np.zeros(len(surv), dtype=np.int64)
-            Ap = As % p
-            Bp = Bs % p
-            for x in range(p):
-                acc -= chi[(x * x * x + Ap * x + Bp) % p]
-            good = disc_s % p != 0
-            t = np.where(good, acc % ell, 0)
-            d = p % ell
-            tnz = good & (t != 0)
-            disc = (t * t - 4 * d) % ell
-            u = (t * t * inv[d]) % ell
-            w1[surv] |= tnz & sq[disc]
-            w2[surv] |= tnz & nonsq[disc]
-            w3[surv] |= tnz & ok_u[u]
-            covs = cov[surv]
-            covs[good] |= np.int32(1 << (d - 1))
-            cov[surv] = covs
-            newly = w1[surv] & w2[surv] & w3[surv] & gen_table[cov[surv]]
-            if newly.any():
-                keep = ~newly
-                surv = surv[keep]
-                if not len(surv):
-                    break
-                As, Bs, disc_s = As[keep], Bs[keep], disc_s[keep]
-
-    proven = w1 & w2 & w3 & gen_table[cov]
+        # a singular reduction reads as trace 0: it flags nothing and adds no det
+        t, good = _traces(A[surv] % p, B[surv] % p, p)
+        flags |= _witnesses(t, p % ell, ell)
+        g[good] = np.gcd(g[good], log[p % ell])
+        keep = ~(flags.all(axis=0) & (g == 1))
+        proven[surv[~keep]] = True
+        surv, flags, g = surv[keep], flags[:, keep], g[keep]
+        if not len(surv):
+            break
     return SweepResult(X, ell, bound, n, int(proven.sum()), proven, A, B)

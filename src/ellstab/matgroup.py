@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded
-from .primes import is_prime
+from .primes import check_ell, is_prime
 
 Mat2 = tuple[int, int, int, int]
 
@@ -72,8 +72,7 @@ def sl2_order(ell: int) -> int:
 
 def delta_density(t: int, d: int, ell: int) -> Fraction:
     """(ell + chi(t^2 - 4d)) / (ell^2 - 1): density of trace t in the det-d coset."""
-    if ell < 5:
-        raise ValueError("ell must be >= 5")
+    check_ell(ell)
     if d % ell == 0:
         raise ValueError("d must be nonzero mod ell")
     chi = kronecker_mod_ell(t * t - 4 * d, ell)

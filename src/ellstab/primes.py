@@ -27,3 +27,9 @@ def is_prime(n: int) -> bool:
             return False
         p += 1 if p == 2 else 2
     return True
+
+
+def check_ell(ell: int) -> None:
+    """Raise ValueError unless ell is a prime >= 5."""
+    if ell < 5 or not is_prime(ell):
+        raise ValueError(f"ell must be a prime >= 5, got {ell}")

@@ -13,19 +13,13 @@ import numpy as np
 
 from .curves import CurveModel, discriminant
 from .errors import SingularReduction
-from .primes import primes_up_to
+from .primes import check_ell, primes_up_to
 
 #: sentinel in per-prime trace tables for singular (r, s)
 SINGULAR = np.int16(np.iinfo(np.int16).min)
 
-
-def legendre(a: int, p: int) -> int:
-    """Quadratic residue symbol of a mod p, for odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+#: x^3 + rx + s (x, r, s < p) fits in int64 up to this p = floor((2^63 - 1)^(1/3))
+MAX_TRACE_PRIME = 2_097_151
 
 
 @lru_cache(maxsize=4096)
@@ -39,9 +33,11 @@ def legendre_table(p: int) -> np.ndarray:
 
 
 def frobenius_trace(r: int, s: int, p: int) -> int:
-    """Trace a of Frobenius for y^2 = x^3 + rx + s over F_p, p >= 5."""
+    """Trace a of Frobenius for y^2 = x^3 + rx + s over F_p, 5 <= p <= MAX_TRACE_PRIME."""
     if p < 5:
         raise ValueError("traces only computed at primes p >= 5")
+    if p > MAX_TRACE_PRIME:
+        raise ValueError(f"traces only computed at primes p <= {MAX_TRACE_PRIME}")
     r %= p
     s %= p
     if (4 * r**3 + 27 * s * s) % p == 0:
@@ -61,8 +57,7 @@ class TraceRecord:
 
 def trace_table(c: CurveModel, bound: int, ell: int) -> list[TraceRecord]:
     """One record per prime 5 <= p <= bound with p != ell and good reduction."""
-    if ell < 5:
-        raise ValueError("ell must be a prime >= 5")
+    check_ell(ell)
     disc = discriminant(c)
     out = []
     for p in primes_up_to(bound):

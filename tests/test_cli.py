@@ -186,3 +186,19 @@ def test_error_exit_code(capsys, tmp_path):
     )
     assert code == 2
     assert err.startswith("InvalidCurve:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("image", "--A", "1", "--B", "1", "--ell", "4", "--prime-bound", "100"),
+        ("image", "--A", "1", "--B", "1", "--ell", "9", "--prime-bound", "100"),
+        ("image", "--X", "2", "--ell", "6", "--prime-bound", "100"),
+        ("trace", "--X", "1", "--ell", "6", "--prime-bound", "100"),
+    ],
+)
+def test_bad_ell_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("ValueError: ell must be a prime >= 5")

@@ -1,5 +1,6 @@
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from ellstab.curves import CurveModel
@@ -8,7 +9,7 @@ from ellstab.primes import primes_up_to
 from ellstab.traces import (
     batch_trace_census,
     frobenius_trace,
-    legendre,
+    legendre_table,
     trace_table,
 )
 
@@ -22,13 +23,24 @@ def points_on_curve(r, s, p):
 
 
 def test_legendre_examples():
-    assert legendre(0, 5) == 0
-    assert legendre(4, 5) == 1
-    assert legendre(2, 5) == -1
-    squares = {(x * x) % 7 for x in range(1, 7)}
-    for a in range(7):
-        expected = 0 if a == 0 else (1 if a in squares else -1)
-        assert legendre(a, 7) == expected
+    # legendre_table against Euler's criterion a^((p-1)/2) mod p
+    for p in primes_up_to(31):
+        if p == 2:
+            continue
+        chi = legendre_table(p)
+        assert chi.dtype == np.int8 and len(chi) == p
+        for a in range(p):
+            euler = pow(a, (p - 1) // 2, p)
+            assert int(chi[a]) == (-1 if euler == p - 1 else euler)
+
+
+def test_frobenius_trace_near_the_int64_limit():
+    # both curves have CM and p = 2 mod 3, p = 3 mod 4, so both traces are 0
+    p = 2_097_143
+    assert frobenius_trace(0, 1, p) == 0
+    assert frobenius_trace(1, 0, p) == 0
+    with pytest.raises(ValueError):
+        frobenius_trace(0, 1, 2_097_287)
 
 
 def test_frobenius_trace_examples():
