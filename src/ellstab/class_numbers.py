@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidDiscriminant, OutOfHasseRange
 from .matgroup import delta_density
-from .primes import primes_up_to
+from .traces import good_primes
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,7 @@ def partial_sum_sweep(
     """Rows (p, d, t, S, main, err) for all t and all primes 5 <= p <= p_max, p != ell."""
     table = hurwitz_six_table(4 * p_max)
     rows = []
-    for p in primes_up_to(p_max):
-        if p < 5 or p == ell:
-            continue
+    for p in good_primes(1, p_max, ell):
         for t in range(ell):
             s, main, err = hurwitz_partial_sum(p, t, ell, table)
             rows.append((p, p % ell, t, s, main, err))

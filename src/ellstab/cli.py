@@ -104,6 +104,8 @@ def cmd_image(args) -> int:
             )
         )
         return 0
+    if args.A is None or args.B is None:
+        raise ValueError("image needs --X, or both --A and --B")
     c = CurveModel(args.A, args.B)
     v = galois_image.classify_image(c, args.ell, args.prime_bound)
     print(

@@ -15,16 +15,14 @@ import numpy as np
 
 from .curves import CurveModel, curve_box, discriminant
 from .matgroup import _primitive_root
-from .primes import check_ell, primes_up_to
-from .traces import SINGULAR, frobenius_trace, legendre_table, trace_census_table
+from .primes import check_ell
+from .traces import curve_traces, frobenius_trace, good_primes, legendre_table
+from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
 SURJECTIVE_PROVEN = "SurjectiveProven"
 UNDETERMINED = "Undetermined"
 
 MEMBER = "Member"
-
-#: primes below this cap read full (r, s) trace tables in the batch sweep
-_TABLE_PRIME_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -100,12 +98,9 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
     if bound < 5:
         raise ValueError("prime bound must be >= 5")
     log = _unit_logs(ell)
-    disc = discriminant(c)
     w: dict = {"split": None, "nonsplit": None, "exceptional": None, "det": {}}
     g = ell - 1
-    for p in primes_up_to(bound):
-        if p < 5 or p == ell or disc % p == 0:
-            continue
+    for p in good_primes(discriminant(c), bound, ell):
         d = p % ell
         a = frobenius_trace(c.A, c.B, p)
         split, nonsplit, exceptional = _witnesses(a, d, ell).tolist()
@@ -145,10 +140,7 @@ def t_A_proxy_member(e: CurveModel, a: CurveModel, ell: int, bound: int) -> bool
     """True iff t_p(e) = +-t_p(a) mod ell at every shared good prime p <= bound."""
     if bound < 5:
         raise ValueError("prime bound must be >= 5")
-    de, da = discriminant(e), discriminant(a)
-    for p in primes_up_to(bound):
-        if p < 5 or p == ell or de % p == 0 or da % p == 0:
-            continue
+    for p in good_primes(discriminant(e) * discriminant(a), bound, ell):
         te = frobenius_trace(e.A, e.B, p) % ell
         ta = frobenius_trace(a.A, a.B, p) % ell
         if te != ta and te != (-ta) % ell:
@@ -172,24 +164,6 @@ class SweepResult:
         return self.proven / self.total if self.total else float("nan")
 
 
-def _traces(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_p, good) of the curves (r, s) mod p: int64, a_p = 0 where singular.
-
-    Primes below _TABLE_PRIME_CAP read the per-prime census table; larger ones
-    take the character sum.
-    """
-    if p < _TABLE_PRIME_CAP:
-        a = trace_census_table(p)[r, s]
-        good = a != SINGULAR
-        return np.where(good, a, 0).astype(np.int64), good
-    chi = legendre_table(p)
-    a = np.zeros(len(r), dtype=np.int64)
-    for x in range(p):
-        a -= chi[(x * x * x % p + r * x + s) % p]
-    good = (4 * r * r % p * r + 27 * s * s) % p != 0
-    return np.where(good, a, 0), good
-
-
 def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     """classify_image verdicts for every curve in the height-X box.
 
@@ -198,6 +172,8 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     one running gcd per curve (it divides ell - 1, so int32 holds it).
     """
     check_ell(ell)
+    if bound < 5:
+        raise ValueError("prime bound must be >= 5")
     A, B = curve_box(X)
     n = len(A)
     log = _unit_logs(ell)
@@ -205,11 +181,10 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     surv = np.arange(n)
     flags = np.zeros((3, n), dtype=bool)
     g = np.full(n, ell - 1, dtype=np.int32)
-    for p in primes_up_to(bound):
-        if p < 5 or p == ell:
-            continue
-        # a singular reduction reads as trace 0: it flags nothing and adds no det
-        t, good = _traces(A[surv] % p, B[surv] % p, p)
+    # disc 1 keeps every prime; a curve's own bad primes read as trace 0 (not
+    # good), which flags nothing and adds no det
+    for p in good_primes(1, bound, ell):
+        t, good = curve_traces(A[surv], B[surv], p)
         flags |= _witnesses(t, p % ell, ell)
         g[good] = np.gcd(g[good], log[p % ell])
         keep = ~(flags.all(axis=0) & (g == 1))

@@ -41,9 +41,6 @@ def mat_mul(g: Mat2, h: Mat2, ell: int) -> Mat2:
 def mat_det(g: Mat2, ell: int) -> int:
     return (g[0] * g[3] - g[1] * g[2]) % ell
 
-def mat_trace(g: Mat2, ell: int) -> int:
-    return (g[0] + g[3]) % ell
-
 
 def mat_inv(g: Mat2, ell: int) -> Mat2:
     det = mat_det(g, ell)

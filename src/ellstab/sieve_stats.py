@@ -15,7 +15,8 @@ import numpy as np
 from .curves import CurveModel, box_rows, count_curves, curve_box, discriminant, unrank
 from .matgroup import delta_density
 from .primes import primes_up_to
-from .traces import SINGULAR, frobenius_trace, trace_census_table
+from .traces import curve_traces, frobenius_trace, good_primes
+from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
 #: above this many pairs the exhaustive double sum gives way to sampling
 _EXHAUSTIVE_PAIR_LIMIT = 10**6
@@ -33,7 +34,7 @@ def pi_count(X: int, d: int, ell: int) -> int:
 
 
 def _admissible_primes(X: int, d: int, ell: int) -> list[int]:
-    return [p for p in primes_up_to(X) if p >= 5 and p != ell and p % ell == d % ell]
+    return [p for p in good_primes(1, X, ell) if p % ell == d % ell]
 
 
 def pi_pair(
@@ -42,17 +43,13 @@ def pi_pair(
     """Primes p <= X, p = d mod ell, good for both curves, with traces (t1, t2)."""
     if d % ell == 0:
         raise ValueError("d must be nonzero mod ell")
-    d1, d2 = discriminant(e1), discriminant(e2)
-    count = 0
-    for p in _admissible_primes(X, d, ell):
-        if d1 % p == 0 or d2 % p == 0:
-            continue
-        if (
-            frobenius_trace(e1.A, e1.B, p) % ell == t1 % ell
-            and frobenius_trace(e2.A, e2.B, p) % ell == t2 % ell
-        ):
-            count += 1
-    return count
+    return sum(
+        1
+        for p in good_primes(discriminant(e1) * discriminant(e2), X, ell)
+        if p % ell == d % ell
+        and frobenius_trace(e1.A, e1.B, p) % ell == t1 % ell
+        and frobenius_trace(e2.A, e2.B, p) % ell == t2 % ell
+    )
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,11 @@ class SieveStat:
 def _match_columns(
     A: np.ndarray, B: np.ndarray, X: int, t: int, d: int, ell: int
 ) -> list[np.ndarray]:
-    """Per admissible prime, the bool vector [p good and t_p = t] over the curves.
-
-    For p >= 5, p | disc exactly when the census entry is SINGULAR.
-    """
+    """Per admissible prime, the bool vector [p good and t_p = t] over the curves."""
     cols = []
     for p in _admissible_primes(X, d, ell):
-        a_p = trace_census_table(p)[A % p, B % p]
-        cols.append((a_p != SINGULAR) & (a_p.astype(np.int64) % ell == t % ell))
+        a_p, good = curve_traces(A, B, p)
+        cols.append(good & (a_p % ell == t % ell))
     return cols
 
 
@@ -147,27 +141,23 @@ def variance_stat(
 
 def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     """Fraction of C(X) whose reduced traces match a up to sign below bound."""
-    disc_a = discriminant(a)
-    targets = {}
-    for p in primes_up_to(bound):
-        if p < 5 or p == ell or disc_a % p == 0:
-            continue
-        targets[p] = frobenius_trace(a.A, a.B, p) % ell
-
+    targets = {
+        p: frobenius_trace(a.A, a.B, p) % ell
+        for p in good_primes(discriminant(a), bound, ell)
+    }
     total = 0
     matched = 0
     for A, b in box_rows(X):
         total += len(b)
-        alive = np.ones(len(b), dtype=bool)
+        # drop a row's failed curves after every prime, so later primes (and
+        # the character sum above the census cap) touch only the survivors
         for p, ta in targets.items():
-            if not alive.any():
+            if not len(b):
                 break
-            table = trace_census_table(p)
-            a_p = table[A % p, b % p]
-            good = a_p != SINGULAR
-            t = a_p.astype(np.int64) % ell
-            alive &= ~good | (t == ta) | (t == (-ta) % ell)
-        matched += int(alive.sum())
+            a_p, good = curve_traces(A, b, p)
+            t = a_p % ell
+            b = b[~good | (t == ta) | (t == (-ta) % ell)]
+        matched += len(b)
     return Fraction(matched, total)
 
 

@@ -2,7 +2,9 @@
 
 a_{r,s}(p) = -sum_x ((x^3 + rx + s)/p), so #E(F_p) = p + 1 - a.  Traces are
 computed with a cached Legendre table per prime; per-prime full (r, s)
-tables back the Deuring census and the batch sweeps.
+tables back the Deuring census and, below _TABLE_PRIME_CAP, the batch
+traces of curve_traces.  This module alone decides where a batch trace
+comes from and how a singular reduction is marked.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,9 @@ SINGULAR = np.int16(np.iinfo(np.int16).min)
 
 #: x^3 + rx + s (x, r, s < p) fits in int64 up to this p = floor((2^63 - 1)^(1/3))
 MAX_TRACE_PRIME = 2_097_151
+
+#: primes below this cap read full (r, s) census tables in curve_traces
+_TABLE_PRIME_CAP = 200
 
 
 @lru_cache(maxsize=4096)
@@ -47,6 +52,11 @@ def frobenius_trace(r: int, s: int, p: int) -> int:
     return int(-chi[(x * x * x + r * x + s) % p].sum(dtype=np.int64))
 
 
+def good_primes(disc: int, bound: int, ell: int) -> list[int]:
+    """Primes 5 <= p <= bound with p != ell and p not dividing disc."""
+    return [p for p in primes_up_to(bound) if p >= 5 and p != ell and disc % p]
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     p: int
@@ -58,11 +68,8 @@ class TraceRecord:
 def trace_table(c: CurveModel, bound: int, ell: int) -> list[TraceRecord]:
     """One record per prime 5 <= p <= bound with p != ell and good reduction."""
     check_ell(ell)
-    disc = discriminant(c)
     out = []
-    for p in primes_up_to(bound):
-        if p < 5 or p == ell or disc % p == 0:
-            continue
+    for p in good_primes(discriminant(c), bound, ell):
         a = frobenius_trace(c.A, c.B, p)
         out.append(TraceRecord(p, a, a % ell, p % ell))
     return out
@@ -86,6 +93,29 @@ def trace_census_table(p: int) -> np.ndarray:
         table[r] = row.astype(np.int16)
     table.setflags(write=False)
     return table
+
+
+def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_p, good) of the curves y^2 = x^3 + Ax + B at p >= 5: int64 and bool arrays.
+
+    A and B are integers or integer arrays (broadcast together, any residue);
+    a_p = 0 where the reduction is singular.  Primes below _TABLE_PRIME_CAP
+    read the census table; larger ones take the character sum.
+    """
+    r, s = np.broadcast_arrays(
+        np.asarray(A, dtype=np.int64) % p, np.asarray(B, dtype=np.int64) % p
+    )
+    del A, B  # frees a caller's gathered temporaries (sweep survivors) early
+    if p < _TABLE_PRIME_CAP:
+        a = trace_census_table(p)[r, s]
+        good = a != SINGULAR
+        return np.where(good, a, 0).astype(np.int64), good
+    chi = legendre_table(p)
+    a = np.zeros(r.shape, dtype=np.int64)
+    for x in range(p):
+        a -= chi[(x * x * x % p + r * x + s) % p]
+    good = (4 * r * r % p * r + 27 * s * s) % p != 0
+    return np.where(good, a, 0), good
 
 
 def batch_trace_census(p: int) -> dict[int, int]:

@@ -202,3 +202,20 @@ def test_bad_ell_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("ValueError: ell must be a prime >= 5")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("image", "--A", "1", "--ell", "5", "--prime-bound", "100"), "image needs --X"),
+        (("image", "--ell", "5", "--prime-bound", "100"), "image needs --X"),
+        (("image", "--X", "2", "--ell", "5", "--prime-bound", "3"), "prime bound must be >= 5"),
+        (("image", "--A", "1", "--B", "1", "--ell", "5", "--prime-bound", "3"),
+         "prime bound must be >= 5"),
+    ],
+)
+def test_bad_image_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"ValueError: {message}")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ellstab import traces
 from ellstab.curves import CurveModel, count_curves, curve_box, discriminant, enumerate_curves, unrank
 from ellstab.galois_image import t_A_proxy_member
 from ellstab.primes import primes_up_to
@@ -208,12 +209,23 @@ def test_sampled_pairs_match_scalar_oracle_at_X_100(t1, t2, d, ell):
     assert variance_stat(X, t1, t2, d, ell, samples, seed).V == expected
 
 
-def test_proxy_ratio_matches_member_scan():
+@pytest.mark.parametrize("bound", [60, 400])
+def test_proxy_ratio_matches_member_scan(bound, monkeypatch):
+    # a census table costs O(p^3); primes above the cap of 200 take the sum
+    requested = []
+    census = traces.trace_census_table
+
+    def spy(p):
+        requested.append(p)
+        return census(p)
+
+    monkeypatch.setattr(traces, "trace_census_table", spy)
     a = CurveModel(-1, -1)
-    X, ell, bound = 2, 5, 60
+    X, ell = 2, 5
     curves = list(enumerate_curves(X))
     expected = sum(1 for e in curves if t_A_proxy_member(e, a, ell, bound))
     assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
+    assert requested and max(requested) < 200
 
 
 def test_density_curve_bounds_and_monotone_trend():

@@ -2,16 +2,23 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellstab.curves import CurveModel
 from ellstab.errors import SingularReduction
 from ellstab.primes import primes_up_to
 from ellstab.traces import (
     batch_trace_census,
+    curve_traces,
     frobenius_trace,
+    good_primes,
     legendre_table,
     trace_table,
 )
+
+#: primes on both sides of the census-table cap of 200
+ORACLE_PRIMES = [5, 31, 197, 199, 211, 223]
 
 
 def points_on_curve(r, s, p):
@@ -59,6 +66,55 @@ def test_trace_matches_point_enumeration_exhaustively(p):
             a = frobenius_trace(r, s, p)
             assert points_on_curve(r, s, p) + 1 == p + 1 - a
             assert a * a <= 4 * p
+
+
+def assert_curve_traces_match_point_counts(A, B, p):
+    a, good = curve_traces(A, B, p)
+    assert a.dtype == np.int64 and good.dtype == bool
+    A, B = np.broadcast_arrays(A, B)
+    for Ai, Bi, ai, gi in zip(A.tolist(), B.tolist(), a.tolist(), good.tolist()):
+        r, s = Ai % p, Bi % p
+        if (4 * r**3 + 27 * s * s) % p == 0:
+            assert (ai, gi) == (0, False)
+        else:
+            assert gi and ai == p - points_on_curve(r, s, p)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(ORACLE_PRIMES),
+    st.lists(st.tuples(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9)),
+             min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 10**4), st.integers(-50, 50), st.integers(-50, 50)),
+             min_size=1, max_size=4),
+)
+def test_curve_traces_match_point_counts(p, pairs, singular):
+    # (-3m^2, 2m^3) is singular mod every p; i*p and j*p leave it unreduced
+    pairs = pairs + [(-3 * m * m + i * p, 2 * m**3 + j * p) for m, i, j in singular]
+    A, B = np.array(pairs, dtype=np.int64).T
+    assert_curve_traces_match_point_counts(A, B, p)
+
+
+def every_residue_pair(p):
+    """All p^2 pairs mod p, as negative representatives."""
+    r, s = np.divmod(np.arange(p * p), p)
+    return r - 3 * p, s - 7 * p
+
+
+@pytest.mark.parametrize(
+    "A, B, p",
+    [(*every_residue_pair(p), p) for p in (5, 31)]
+    + [(-1, np.arange(-12, 13), p) for p in ORACLE_PRIMES],  # a scalar A broadcasts
+)
+def test_curve_traces_on_fixed_batches(A, B, p):
+    assert_curve_traces_match_point_counts(A, B, p)
+
+
+def test_good_primes():
+    # disc(1,1) = -16*31
+    assert good_primes(-16 * 31, 40, 5) == [7, 11, 13, 17, 19, 23, 29, 37]
+    assert good_primes(1, 13, 7) == [5, 11, 13]
+    assert good_primes(1, 4, 5) == []
 
 
 def test_trace_table_examples():
