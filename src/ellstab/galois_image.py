@@ -24,6 +24,10 @@ UNDETERMINED = "Undetermined"
 
 MEMBER = "Member"
 
+#: the rational j-invariants of curves with complex multiplication
+CM_J = (0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+        16581375, -884736000, -147197952000, -262537412640768000)
+
 
 @dataclass(frozen=True)
 class ImageVerdict:
@@ -164,12 +168,36 @@ class SweepResult:
         return self.proven / self.total if self.total else float("nan")
 
 
+def _has_cm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact mask of the curves whose j = 6912A^3/(4A^3 + 27B^2) is in CM_J.
+
+    j = 0 or 1728 iff A = 0 or B = 0; any other j0 iff 27 j0 B^2 =
+    4(1728 - j0) A^3.  A float screen of A^3/B^2 against 27 j0/(4(1728 - j0))
+    picks the candidates, and Python ints confirm each one.
+    """
+    cm = (A == 0) | (B == 0)
+    a, b = A.astype(float), B.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = a * a * a / (b * b)
+    near = np.zeros(len(A), dtype=bool)
+    for j in CM_J[2:]:
+        target = 27 * j / (4 * (1728 - j))
+        near |= np.abs(ratio - target) <= 1e-9 * abs(target)
+    for i in np.flatnonzero(near & ~cm).tolist():
+        a, b = int(A[i]), int(B[i])
+        cm[i] = any(27 * j * b * b == 4 * (1728 - j) * a**3 for j in CM_J[2:])
+    return cm
+
+
 def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     """classify_image verdicts for every curve in the height-X box.
 
-    One pass over the primes, on the curves not yet proven: a curve is dropped
-    after the prime that completes its witnesses.  The determinant test keeps
-    one running gcd per curve (it divides ell - 1, so int32 holds it).
+    Curves with CM are never proven: their image lies in a Cartan normalizer,
+    so no prime gives them both a split and a nonsplit witness.  They are left
+    out before the first prime.  Then one pass over the primes, on the curves
+    not yet proven: a curve is dropped after the prime that completes its
+    witnesses.  The determinant test keeps one running gcd per curve (it
+    divides ell - 1, so int32 holds it).
     """
     check_ell(ell)
     if bound < 5:
@@ -178,9 +206,9 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     n = len(A)
     log = _unit_logs(ell)
     proven = np.zeros(n, dtype=bool)
-    surv = np.arange(n)
-    flags = np.zeros((3, n), dtype=bool)
-    g = np.full(n, ell - 1, dtype=np.int32)
+    surv = np.flatnonzero(~_has_cm(A, B))
+    flags = np.zeros((3, len(surv)), dtype=bool)
+    g = np.full(len(surv), ell - 1, dtype=np.int32)
     # disc 1 keeps every prime; a curve's own bad primes read as trace 0 (not
     # good), which flags nothing and adds no det
     for p in good_primes(1, bound, ell):

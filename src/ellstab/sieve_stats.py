@@ -149,8 +149,8 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     matched = 0
     for A, b in box_rows(X):
         total += len(b)
-        # drop a row's failed curves after every prime, so later primes (and
-        # the character sum above the census cap) touch only the survivors
+        # drop a row's failed curves after every prime, so later primes touch
+        # only the survivors (and count fewer curves towards a census table)
         for p, ta in targets.items():
             if not len(b):
                 break

@@ -2,11 +2,12 @@
 
 a_{r,s}(p) = -sum_x ((x^3 + rx + s)/p), so #E(F_p) = p + 1 - a.  Traces are
 computed with a cached Legendre table per prime; per-prime full (r, s)
-tables back the Deuring census and, below _TABLE_PRIME_CAP, the batch
-traces of curve_traces.  This module alone decides where a batch trace
+tables back the Deuring census and the batch traces of curve_traces once
+they pay for themselves.  This module alone decides where a batch trace
 comes from and how a singular reduction is marked.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -23,8 +24,22 @@ SINGULAR = np.int16(np.iinfo(np.int16).min)
 #: x^3 + rx + s (x, r, s < p) fits in int64 up to this p = floor((2^63 - 1)^(1/3))
 MAX_TRACE_PRIME = 2_097_151
 
-#: primes below this cap read full (r, s) census tables in curve_traces
-_TABLE_PRIME_CAP = 200
+#: elements per block of the character-sum gather
+_SUM_BLOCK = 1 << 16
+
+#: largest chi repeated p times (bytes) that the gather reads instead of reducing
+#: mod p, a step that about doubles the cost of a block
+_TILED_CHI_LIMIT = 1 << 22
+
+#: curves sent through curve_traces per prime in this process (its cost rule)
+_traced: Counter = Counter()
+
+
+def _check_trace_prime(p: int) -> None:
+    if p < 5:
+        raise ValueError("traces only computed at primes p >= 5")
+    if p > MAX_TRACE_PRIME:
+        raise ValueError(f"traces only computed at primes p <= {MAX_TRACE_PRIME}")
 
 
 @lru_cache(maxsize=4096)
@@ -39,10 +54,7 @@ def legendre_table(p: int) -> np.ndarray:
 
 def frobenius_trace(r: int, s: int, p: int) -> int:
     """Trace a of Frobenius for y^2 = x^3 + rx + s over F_p, 5 <= p <= MAX_TRACE_PRIME."""
-    if p < 5:
-        raise ValueError("traces only computed at primes p >= 5")
-    if p > MAX_TRACE_PRIME:
-        raise ValueError(f"traces only computed at primes p <= {MAX_TRACE_PRIME}")
+    _check_trace_prime(p)
     r %= p
     s %= p
     if (4 * r**3 + 27 * s * s) % p == 0:
@@ -75,47 +87,74 @@ def trace_table(c: CurveModel, bound: int, ell: int) -> list[TraceRecord]:
     return out
 
 
+def _character_sums(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, good) for 1-D residue arrays r, s mod p, with a = 0 where not good.
+
+    One 2-D gather chi[(x^3 + r x + s) mod p] over blocks of about _SUM_BLOCK
+    elements, summed over x in int64.  The unreduced index x^3 mod p + r x + s
+    is below p^2, so while chi repeated p times fits in _TILED_CHI_LIMIT bytes
+    the gather reads that instead of reducing mod p.
+    """
+    chi = legendre_table(p)
+    tiled = p * p <= _TILED_CHI_LIMIT
+    if tiled:
+        chi = np.tile(chi, p)
+    x = np.arange(p, dtype=np.int64)
+    x3 = x * x * x % p
+    a = np.empty(r.size, dtype=np.int64)
+    rows = max(1, _SUM_BLOCK // p)
+    for i in range(0, r.size, rows):
+        v = r[i:i + rows, None] * x
+        v += x3
+        v += s[i:i + rows, None]
+        if not tiled:
+            v %= p
+        a[i:i + rows] = -chi[v].sum(axis=1, dtype=np.int64)
+    good = (4 * r * r % p * r + 27 * s * s) % p != 0
+    a[~good] = 0
+    return a, good
+
+
 @lru_cache(maxsize=256)
 def trace_census_table(p: int) -> np.ndarray:
-    """int16 table T[r, s] = a_{r,s}(p), with SINGULAR marking 4r^3+27s^2 = 0."""
-    if p < 5:
-        raise ValueError("census only defined for primes p >= 5")
-    chi = legendre_table(p)
-    x = np.arange(p, dtype=np.int64)
-    x3 = (x * x * x) % p
-    s = np.arange(p, dtype=np.int64)
-    s_sq27 = (27 * s * s) % p
+    """int16 table T[r, s] = a_{r,s}(p), with SINGULAR marking 4r^3+27s^2 = 0.
+
+    Filled by slabs of rows r holding about _SUM_BLOCK curves, so the int64
+    temporaries stay O(max(p, _SUM_BLOCK)) beside the p^2 int16 table.
+    """
+    _check_trace_prime(p)
     table = np.empty((p, p), dtype=np.int16)
-    for r in range(p):
-        vals = ((x3 + r * x)[:, None] + s[None, :]) % p
-        row = -chi[vals].sum(axis=0, dtype=np.int64)
-        row[(4 * r**3 + s_sq27) % p == 0] = SINGULAR
-        table[r] = row.astype(np.int16)
+    rows = max(1, _SUM_BLOCK // p)
+    for r0 in range(0, p, rows):
+        r, s = np.divmod(np.arange(r0 * p, min(r0 + rows, p) * p, dtype=np.int64), p)
+        a, good = _character_sums(r, s, p)
+        table[r0:r0 + rows] = np.where(good, a, SINGULAR).reshape(-1, p)
     table.setflags(write=False)
     return table
 
 
 def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_p, good) of the curves y^2 = x^3 + Ax + B at p >= 5: int64 and bool arrays.
+    """(a_p, good) of the curves y^2 = x^3 + Ax + B at 5 <= p <= MAX_TRACE_PRIME.
 
     A and B are integers or integer arrays (broadcast together, any residue);
-    a_p = 0 where the reduction is singular.  Primes below _TABLE_PRIME_CAP
-    read the census table; larger ones take the character sum.
+    a_p (int64) = 0 and good = False where the reduction is singular.  The
+    character sum costs p per curve and the census table p^3 once, so the
+    table is read once p^2 curves have been traced at p in this process,
+    this batch included; before that each curve takes the sum.  Renting
+    before buying this way never costs more than twice the cheaper choice.
     """
+    _check_trace_prime(p)
     r, s = np.broadcast_arrays(
         np.asarray(A, dtype=np.int64) % p, np.asarray(B, dtype=np.int64) % p
     )
     del A, B  # frees a caller's gathered temporaries (sweep survivors) early
-    if p < _TABLE_PRIME_CAP:
+    _traced[p] += r.size
+    if _traced[p] >= p * p:
         a = trace_census_table(p)[r, s]
         good = a != SINGULAR
         return np.where(good, a, 0).astype(np.int64), good
-    chi = legendre_table(p)
-    a = np.zeros(r.shape, dtype=np.int64)
-    for x in range(p):
-        a -= chi[(x * x * x % p + r * x + s) % p]
-    good = (4 * r * r % p * r + 27 * s * s) % p != 0
-    return np.where(good, a, 0), good
+    a, good = _character_sums(r.ravel(), s.ravel(), p)
+    return a.reshape(r.shape), good.reshape(r.shape)
 
 
 def batch_trace_census(p: int) -> dict[int, int]:

@@ -1,0 +1,16 @@
+from collections import Counter
+
+import pytest
+
+from ellstab import traces
+
+
+@pytest.fixture(autouse=True)
+def no_curves_traced_yet(monkeypatch):
+    """Start every test with an empty per-prime count in traces.curve_traces.
+
+    The count decides whether a batch reads the census table or takes the
+    character sum, so without this the branch a test runs would depend on
+    the tests that ran before it.
+    """
+    monkeypatch.setattr(traces, "_traced", Counter())

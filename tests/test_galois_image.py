@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import gcd
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellstab.curves import CurveModel
+from ellstab import traces
+from ellstab.curves import CurveModel, curve_box
 from ellstab.galois_image import (
     MEMBER,
     SURJECTIVE_PROVEN,
     UNDETERMINED,
     FieldSpec,
+    _has_cm,
     _unit_logs,
     _witnesses,
     classify_image,
@@ -154,9 +157,19 @@ def test_log_gcd_matches_closure_on_drawn_subsets(case):
 
 
 @pytest.mark.parametrize("ell", [7, 13, 37])
-def test_sweep_matches_classify_image_across_both_trace_sources(ell):
-    # bound 1000 runs primes below and above the census-table cap of 200
+def test_sweep_matches_classify_image_across_both_trace_sources(ell, monkeypatch):
+    # bound 1000 runs primes where the survivors read census tables and
+    # primes where they take the character sum
+    requested = []
+    census = traces.trace_census_table
+
+    def spy(p):
+        requested.append(p)
+        return census(p)
+
+    monkeypatch.setattr(traces, "trace_census_table", spy)
     res = surjectivity_sweep(3, ell, 1000)
+    assert requested and max(requested) < 997
     for i in range(res.total):
         c = CurveModel(int(res.A[i]), int(res.B[i]))
         expected = classify_image(c, ell, 1000).status == SURJECTIVE_PROVEN
@@ -177,3 +190,41 @@ def test_bad_ell_is_rejected_everywhere(ell):
     for call in calls:
         with pytest.raises(ValueError, match="prime >= 5"):
             call()
+
+
+#: the 13 rational CM j-invariants, written out apart from galois_image.CM_J
+RATIONAL_CM_J = {0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+                 16581375, -884736000, -147197952000, -262537412640768000}
+
+
+def _j_is_cm(A: int, B: int) -> bool:
+    num, den = 6912 * A**3, 4 * A**3 + 27 * B * B
+    return num % den == 0 and num // den in RATIONAL_CM_J
+
+
+def test_cm_detector_matches_the_j_invariant_over_the_X_10_box():
+    A, B = curve_box(10)
+    expected = [_j_is_cm(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    assert _has_cm(A, B).tolist() == expected
+    assert sum(expected) == 2168
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 37])
+def test_cm_curves_are_never_proven(ell):
+    # a CM image lies in a Cartan normalizer, so no split and nonsplit pair
+    A, B = curve_box(4)
+    cm = [(a, b) for a, b in zip(A.tolist(), B.tolist()) if _j_is_cm(a, b)]
+    assert len(cm) > 100 and any(a * b for a, b in cm)  # CM j other than 0, 1728
+    # witnesses only accumulate with the bound, so Undetermined at 1000 holds below it too
+    for a, b in cm:
+        assert classify_image(CurveModel(a, b), ell, 1000).status == UNDETERMINED
+
+
+@pytest.mark.parametrize("X, ell, total, proven, digest", [
+    (8, 17, 132_066, 130_926, "9ffbe09a823a8593cc23b8dcc959d3e90c2ee9cde724ef2e0a88b6ef98111b74"),
+    (3, 37, 1_042, 970, "becf7812f6d2e8bd628bd1624dc93df343b348b76e3d817aa1316706a3b03432"),
+])
+def test_sweep_pinned_at_bound_1000(X, ell, total, proven, digest):
+    res = surjectivity_sweep(X, ell, 1000)
+    assert (res.total, res.proven) == (total, proven)
+    assert hashlib.sha256(res.proven_mask.tobytes()).hexdigest() == digest

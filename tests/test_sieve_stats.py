@@ -211,7 +211,8 @@ def test_sampled_pairs_match_scalar_oracle_at_X_100(t1, t2, d, ell):
 
 @pytest.mark.parametrize("bound", [60, 400])
 def test_proxy_ratio_matches_member_scan(bound, monkeypatch):
-    # a census table costs O(p^3); primes above the cap of 200 take the sum
+    # a census table costs O(p^3) and is read only once p^2 curves have been
+    # traced at p; the 150 curves of the X=2 box never reach that above 200
     requested = []
     census = traces.trace_census_table
 

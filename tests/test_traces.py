@@ -1,10 +1,13 @@
+from collections import Counter
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.elliptic_curve import EllipticCurve
 
+from ellstab import traces
 from ellstab.curves import CurveModel
 from ellstab.errors import SingularReduction
 from ellstab.primes import primes_up_to
@@ -14,11 +17,14 @@ from ellstab.traces import (
     frobenius_trace,
     good_primes,
     legendre_table,
+    trace_census_table,
     trace_table,
 )
 
-#: primes on both sides of the census-table cap of 200
+#: primes on both sides of 200, where sweeps' survivors stop paying for tables
 ORACLE_PRIMES = [5, 31, 197, 199, 211, 223]
+
+BRANCHES = ["table", "sum"]
 
 
 def points_on_curve(r, s, p):
@@ -50,6 +56,17 @@ def test_frobenius_trace_near_the_int64_limit():
         frobenius_trace(0, 1, 2_097_287)
 
 
+def test_curve_traces_near_the_int64_limit():
+    # the same two CM curves through the character sum of curve_traces
+    a, good = curve_traces([0, 1], [1, 0], 2_097_143)
+    assert a.tolist() == [0, 0] and good.tolist() == [True, True]
+    with pytest.raises(ValueError):
+        curve_traces(0, 1, 2_097_287)
+    # raised before the p x p table (8.8 TB of int16) is allocated
+    with pytest.raises(ValueError):
+        trace_census_table(2_097_287)
+
+
 def test_frobenius_trace_examples():
     assert frobenius_trace(1, 0, 5) == 2  # 4 affine points, a = 5 + 1 - 5
     assert frobenius_trace(0, 1, 5) == 0
@@ -68,16 +85,57 @@ def test_trace_matches_point_enumeration_exhaustively(p):
             assert a * a <= 4 * p
 
 
-def assert_curve_traces_match_point_counts(A, B, p):
-    a, good = curve_traces(A, B, p)
-    assert a.dtype == np.int64 and good.dtype == bool
-    A, B = np.broadcast_arrays(A, B)
-    for Ai, Bi, ai, gi in zip(A.tolist(), B.tolist(), a.tolist(), good.tolist()):
-        r, s = Ai % p, Bi % p
-        if (4 * r**3 + 27 * s * s) % p == 0:
-            assert (ai, gi) == (0, False)
+def spy_on_census_tables(mp):
+    """Make trace_census_table record the primes it is asked for; returns the record."""
+    requested = []
+    census = traces.trace_census_table
+
+    def spy(q):
+        requested.append(q)
+        return census(q)
+
+    mp.setattr(traces, "trace_census_table", spy)
+    return requested
+
+
+def traces_through(branch, A, B, p):
+    """curve_traces(A, B, p) through one branch of its cost rule.
+
+    "table" starts the count at p with p^2 curves, so the census table is
+    read; "sum" traces slices of fewer than p^2 curves, each from a zero
+    count, so it is not.  A spy on trace_census_table checks which one ran.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        requested = spy_on_census_tables(mp)
+        if branch == "table":
+            mp.setattr(traces, "_traced", Counter({p: p * p}))
+            out = [curve_traces(A, B, p)]
+        elif np.broadcast(A, B).size < p * p:
+            mp.setattr(traces, "_traced", Counter())
+            out = [curve_traces(A, B, p)]
         else:
-            assert gi and ai == p - points_on_curve(r, s, p)
+            A, B = np.broadcast_arrays(A, B)
+            out = []
+            for i in range(0, A.size, p * p - 1):
+                mp.setattr(traces, "_traced", Counter())
+                out.append(curve_traces(A[i:i + p * p - 1], B[i:i + p * p - 1], p))
+    assert requested == ([p] if branch == "table" else [])
+    if len(out) == 1:
+        return out[0]
+    return np.concatenate([a for a, _ in out]), np.concatenate([g for _, g in out])
+
+
+def assert_curve_traces_match_point_counts(A, B, p):
+    """Both branches of the cost rule against brute-force point counts."""
+    expected = []
+    for Ai, Bi in zip(*(x.tolist() for x in np.broadcast_arrays(A, B))):
+        r, s = Ai % p, Bi % p
+        singular = (4 * r**3 + 27 * s * s) % p == 0
+        expected.append((0, False) if singular else (p - points_on_curve(r, s, p), True))
+    for branch in BRANCHES:
+        a, good = traces_through(branch, A, B, p)
+        assert a.dtype == np.int64 and good.dtype == bool
+        assert list(zip(a.tolist(), good.tolist())) == expected
 
 
 @settings(deadline=None, max_examples=30)
@@ -108,6 +166,66 @@ def every_residue_pair(p):
 )
 def test_curve_traces_on_fixed_batches(A, B, p):
     assert_curve_traces_match_point_counts(A, B, p)
+
+
+@pytest.mark.parametrize("p", [2053, 10007])
+def test_curve_traces_reduce_mod_p_beyond_the_tiled_chi(p):
+    # chi repeated p times would pass its size limit, so the gather takes
+    # x^3 + rx + s mod p; the scalar frobenius_trace is the oracle
+    assert p * p > traces._TILED_CHI_LIMIT
+    A, B = np.arange(-20, 20), np.arange(-20, 20) ** 3 + 5
+    a, good = curve_traces(A, B, p)
+    assert good.all()
+    assert a.tolist() == [frobenius_trace(r, s, p) for r, s in zip(A.tolist(), B.tolist())]
+
+
+def test_census_table_is_read_once_p_squared_curves_were_traced(monkeypatch):
+    # renting the sum until it would have paid for the O(p^3) table
+    p = 211
+    requested = spy_on_census_tables(monkeypatch)
+    A, B = every_residue_pair(p)
+    summed = [curve_traces(A[:10], B[:10], p), curve_traces(A[10:-1], B[10:-1], p)]
+    assert requested == []
+    last = curve_traces(A[-1:], B[-1:], p)
+    assert requested == [p]
+    a = np.concatenate([summed[0][0], summed[1][0], last[0]])
+    good = np.concatenate([summed[0][1], summed[1][1], last[1]])
+    table = trace_census_table(p)
+    assert np.array_equal(good, (table != traces.SINGULAR).ravel())
+    assert np.array_equal(a, np.where(good, table.ravel(), 0))
+    curve_traces(A[:10], B[:10], 223)  # the count is per prime
+    assert requested == [p]
+
+
+def test_census_table_rows_on_both_sides_of_a_slab_seam():
+    # p = 263 fills the table in two slabs of rows, the first ending at row 248
+    p = 263
+    assert traces._SUM_BLOCK // p == 249
+    table = trace_census_table(p)
+    for r in (0, 248, 249, 262):
+        for s in range(p):
+            if (4 * r**3 + 27 * s * s) % p == 0:
+                assert table[r, s] == traces.SINGULAR
+            else:
+                assert table[r, s] == frobenius_trace(r, s, p)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.sampled_from([p for p in primes_up_to(223) if p >= 5]),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6),
+)
+def test_traces_match_sympy_group_order(p, A, B):
+    # an independent oracle: sympy's order counts the affine points, so the
+    # group order is one more and a_p = p - order
+    r, s = A % p, B % p
+    assume((4 * r**3 + 27 * s * s) % p != 0)
+    expected = p - EllipticCurve(r, s, modulus=p).order
+    assert frobenius_trace(A, B, p) == expected
+    for branch in BRANCHES:
+        a, good = traces_through(branch, A, B, p)
+        assert good.tolist() is True and a.tolist() == expected
 
 
 def test_good_primes():
