@@ -16,14 +16,13 @@ from .errors import (
 )
 from .galois_image import FieldSpec, ImageVerdict, classify_image, t_kl_member
 from .stability import StabilityReport, check_ds, s_kl_census
-from .traces import TraceRecord, batch_trace_census, frobenius_trace, trace_table
+from .traces import batch_trace_census, frobenius_trace, trace_table
 
 __all__ = [
     "CurveModel",
     "FieldSpec",
     "ImageVerdict",
     "StabilityReport",
-    "TraceRecord",
     "batch_trace_census",
     "check_ds",
     "classify_image",

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import class_numbers, galois_image, ingest, sieve_stats, stability, store
-from .curves import CurveModel, enumerate_curves
+from .curves import CurveModel, curve_box, enumerate_curves
 from .errors import EllstabError
 from .galois_image import FieldSpec
 from .matgroup import count_trace_det, delta_density, sl2_order
@@ -40,16 +40,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cache = store.TraceCache(height_bound=args.X, prime_bound=args.prime_bound)
-    for c in enumerate_curves(args.X):
-        for rec in trace_table(c, args.prime_bound, args.ell):
-            cache.put(c.A, c.B, rec.p, rec.a_p)
+    A, B = curve_box(args.X)
+    records = trace_table(A, B, args.prime_bound, args.ell)
+    cache = store.TraceCache.from_records(records, args.X, args.prime_bound)
     if args.cache:
         store.save(cache, args.cache)
         print(f"saved {len(cache.entries)} records", file=sys.stderr)
-    print("A,B,p,a_p")
-    for (A, B, p), a in sorted(cache.entries.items()):
-        print(f"{A},{B},{p},{a}")
+    store.write_csv(records, sys.stdout)
     return 0
 
 

@@ -7,16 +7,14 @@ they pay for themselves.  This module alone decides where a batch trace
 comes from and how a singular reduction is marked.
 """
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .curves import CurveModel, discriminant
 from .errors import SingularReduction
 from .primes import check_ell, primes_up_to
+from .store import RECORD
 
 #: sentinel in per-prime trace tables for singular (r, s)
 SINGULAR = np.int16(np.iinfo(np.int16).min)
@@ -31,15 +29,22 @@ _SUM_BLOCK = 1 << 16
 #: mod p, a step that about doubles the cost of a block
 _TILED_CHI_LIMIT = 1 << 22
 
-#: curves sent through curve_traces per prime in this process (its cost rule)
-_traced: Counter = Counter()
-
 
 def _check_trace_prime(p: int) -> None:
     if p < 5:
         raise ValueError("traces only computed at primes p >= 5")
     if p > MAX_TRACE_PRIME:
         raise ValueError(f"traces only computed at primes p <= {MAX_TRACE_PRIME}")
+
+
+@lru_cache(maxsize=None)
+def _traced(p: int) -> list[int]:
+    """[curves sent through curve_traces at p], the count of its cost rule.
+
+    A functools cache, so clearing the package's caches clears the count
+    with the census tables it pays for.
+    """
+    return [0]
 
 
 @lru_cache(maxsize=4096)
@@ -69,21 +74,28 @@ def good_primes(disc: int, bound: int, ell: int) -> list[int]:
     return [p for p in primes_up_to(bound) if p >= 5 and p != ell and disc % p]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    p: int
-    a_p: int
-    t: int  # a_p mod ell
-    d: int  # p mod ell
+def trace_table(A, B, bound: int, ell: int) -> np.ndarray:
+    """RECORDs (A, B, p, a_p) for every good prime 5 <= p <= bound with p != ell.
 
-
-def trace_table(c: CurveModel, bound: int, ell: int) -> list[TraceRecord]:
-    """One record per prime 5 <= p <= bound with p != ell and good reduction."""
+    A and B are integers or 1-D integer arrays (broadcast together); one
+    curve_traces call per prime fills an (n_curves, n_primes) table, and
+    the records are its good entries in row-major order: (A, B, p) order
+    when the curves are, as curve_box's are.
+    """
     check_ell(ell)
-    out = []
-    for p in good_primes(discriminant(c), bound, ell):
-        a = frobenius_trace(c.A, c.B, p)
-        out.append(TraceRecord(p, a, a % ell, p % ell))
+    if bound > MAX_TRACE_PRIME:  # before any work, not at the first prime above it
+        raise ValueError(f"prime bound must be <= {MAX_TRACE_PRIME}, got {bound}")
+    A, B = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(A, dtype=np.int64)), np.atleast_1d(np.asarray(B, dtype=np.int64))
+    )
+    ps = np.array(good_primes(1, bound, ell), dtype=np.uint32)
+    a = np.empty((A.size, ps.size), dtype=np.int32)
+    good = np.empty(a.shape, dtype=bool)
+    for j, p in enumerate(ps.tolist()):
+        a[:, j], good[:, j] = curve_traces(A, B, p)
+    i, j = np.nonzero(good)
+    out = np.empty(i.size, dtype=RECORD)
+    out["A"], out["B"], out["p"], out["a_p"] = A[i], B[i], ps[j], a[i, j]
     return out
 
 
@@ -148,8 +160,9 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
         np.asarray(A, dtype=np.int64) % p, np.asarray(B, dtype=np.int64) % p
     )
     del A, B  # frees a caller's gathered temporaries (sweep survivors) early
-    _traced[p] += r.size
-    if _traced[p] >= p * p:
+    traced = _traced(p)
+    traced[0] += r.size
+    if traced[0] >= p * p:
         a = trace_census_table(p)[r, s]
         good = a != SINGULAR
         return np.where(good, a, 0).astype(np.int64), good

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import struct
 
 import pytest
 
+from ellstab import traces
 from ellstab.cli import main
+from ellstab.curves import discriminant, enumerate_curves
 from ellstab.store import load
+from ellstab.traces import frobenius_trace, good_primes
 
 
 def run(capsys, *argv):
@@ -91,6 +96,45 @@ def test_trace_writes_cache(capsys, tmp_path):
     cache = load(path)
     assert len(cache.entries) > 0
     assert out.splitlines()[0] == "A,B,p,a_p"
+
+
+def per_curve_trace_output(X, ell, bound):
+    """stdout and cache file of `trace` as one frobenius_trace call per curve and
+    prime, put into a dict and packed one record at a time with struct."""
+    entries = {}
+    for c in enumerate_curves(X):
+        for p in good_primes(discriminant(c), bound, ell):
+            entries[(c.A, c.B, p)] = frobenius_trace(c.A, c.B, p)
+    rows = sorted(entries.items())
+    stdout = "A,B,p,a_p\n" + "".join(f"{A},{B},{p},{a}\n" for (A, B, p), a in rows)
+    meta = json.dumps({"height_bound": X, "prime_bound": bound}, sort_keys=True).encode()
+    block = b"".join(struct.pack("<qqIi", A, B, p, a) for (A, B, p), a in rows)
+    checksum = hashlib.blake2b(block, digest_size=8).digest()
+    head = b"ETRC" + bytes([1]) + struct.pack("<I", len(meta)) + meta
+    return stdout, head + struct.pack("<Q", len(rows)) + block + checksum
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_trace_output_equals_the_per_curve_loop(capsys, tmp_path, ell):
+    path = tmp_path / "c.etrc"
+    code, out, err = run(
+        capsys, "trace", "--X", "2", "--ell", str(ell), "--prime-bound", "300", "--cache", str(path)
+    )
+    stdout, cache_file = per_curve_trace_output(2, ell, 300)
+    assert code == 0
+    assert out == stdout
+    assert path.read_bytes() == cache_file
+    assert err == f"saved {len(stdout.splitlines()) - 1} records\n"
+
+
+def test_trace_rejects_a_prime_bound_above_the_traced_limit_before_any_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(traces, "curve_traces", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "trace", "--X", "1", "--ell", "5", "--prime-bound", "2200000")
+    assert code == 2
+    assert out == ""
+    assert err == f"ValueError: prime bound must be <= {traces.MAX_TRACE_PRIME}, got 2200000\n"
+    assert calls == []
 
 
 def test_sieve_deterministic_bytes(capsys):

@@ -184,7 +184,7 @@ def test_bad_ell_is_rejected_everywhere(ell):
         lambda: classify_image(c, ell, 100),
         lambda: surjectivity_sweep(1, ell, 100),
         lambda: t_kl_member(c, ell, FieldSpec(2), 100),
-        lambda: trace_table(c, 100, ell),
+        lambda: trace_table(c.A, c.B, 100, ell),
         lambda: delta_density(1, 1, ell),
     ]
     for call in calls:

@@ -1,7 +1,49 @@
-import pytest
+from math import isqrt
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellstab import store
 from ellstab.errors import ConflictingEntry, CorruptFile
-from ellstab.store import TraceCache, export_csv, load, merge, save
+from ellstab.store import RECORD, TraceCache, export_csv, load, merge, save
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+BOUNDS = st.none() | st.integers(1, 10**6)
+
+
+@st.composite
+def entries(draw, keys=st.tuples(INT64, INT64, st.integers(0, 2**32 - 1))):
+    """{(A, B, p): a_p} over the whole range of each field, with a_p^2 <= 4p."""
+    out = {}
+    for key in draw(st.lists(keys, max_size=30, unique=True)):
+        h = isqrt(4 * key[2])
+        out[key] = draw(st.integers(-h, h))
+    return out
+
+
+@st.composite
+def agreeing_caches(draw):
+    """Three caches whose entries are drawn from one {(A, B, p): a_p} map."""
+    truth = draw(entries())
+    keys = sorted(truth)
+    return [
+        TraceCache(
+            {k: truth[k] for k in draw(st.lists(st.sampled_from(keys), unique=True))} if keys else {},
+            draw(BOUNDS),
+            draw(BOUNDS),
+        )
+        for _ in range(3)
+    ]
+
+
+def same(c1, c2):
+    return (c1.entries, c1.height_bound, c1.prime_bound) == (
+        c2.entries,
+        c2.height_bound,
+        c2.prime_bound,
+    )
 
 
 @pytest.fixture
@@ -89,3 +131,85 @@ def test_csv_export(tmp_path, fixture_caches):
     lines = path.read_text().splitlines()
     assert lines[0] == "A,B,p,a_p"
     assert lines[1:] == ["-1,0,11,0", "1,1,7,-4"]
+
+
+def test_csv_rows_cross_chunk_seams(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "_CSV_CHUNK", 2)
+    cache = TraceCache({(A, -A, 7): A % 5 - 2 for A in range(-3, 2)})
+    path = tmp_path / "traces.csv"
+    export_csv(cache, path)
+    rows = [f"{A},{B},{p},{a}" for (A, B, p), a in sorted(cache.entries.items())]
+    assert path.read_text().splitlines() == ["A,B,p,a_p", *rows]
+
+
+@settings(deadline=None, max_examples=50)
+@given(entries(), BOUNDS, BOUNDS)
+def test_round_trip_property(tmp_path_factory, e, height_bound, prime_bound):
+    path = tmp_path_factory.mktemp("rt") / "traces.etrc"
+    cache = TraceCache(dict(e), height_bound, prime_bound)
+    save(cache, path)
+    loaded = load(path)
+    assert same(loaded, cache)
+    assert list(loaded.entries) == sorted(cache.entries)
+    raw = path.read_bytes()
+    save(loaded, path)
+    assert path.read_bytes() == raw
+
+
+@settings(deadline=None, max_examples=50)
+@given(agreeing_caches())
+def test_merge_laws_property(caches):
+    a, b, c = caches
+    assert same(merge(a, b), merge(b, a))
+    assert same(merge(merge(a, b), c), merge(a, merge(b, c)))
+    assert same(merge(a, a), a)
+
+
+@settings(deadline=None, max_examples=50)
+@given(entries().filter(bool), st.data())
+def test_merge_raises_on_any_disagreement(e, data):
+    key = data.draw(st.sampled_from(sorted(e)))
+    h = isqrt(4 * key[2])
+    other = data.draw(st.integers(-h, h).filter(lambda a: a != e[key]))
+    c1, c2 = TraceCache(dict(e)), TraceCache({key: other})
+    for args in ((c1, c2), (c2, c1)):
+        with pytest.raises(ConflictingEntry):
+            merge(*args)
+
+
+@pytest.mark.parametrize(
+    "key, a_p",
+    [
+        ((2**63, 0, 7), 0),
+        ((0, -(2**63) - 1, 7), 0),
+        ((0, 0, -1), 0),
+        ((0, 0, 2**32), 0),
+        ((0, 0, 7), 2**31),
+        ((0, 0, 7), -(2**31) - 1),
+    ],
+)
+def test_save_rejects_values_outside_their_fields(tmp_path, key, a_p):
+    # put checks only the Hasse bound, so these are set directly
+    path = tmp_path / "traces.etrc"
+    cache = TraceCache({(1, 1, 7): -4, key: a_p})
+    with pytest.raises(OverflowError):
+        save(cache, path)
+    assert not path.exists()
+
+
+def test_load_names_the_first_record_outside_the_hasse_bound(tmp_path):
+    path = tmp_path / "traces.etrc"
+    save(TraceCache({(1, 1, 7): -4, (2, 0, 7): 6, (2, 1, 7): 9, (3, 0, 7): 0}), path)
+    with pytest.raises(CorruptFile, match="Hasse violation in record 1$"):
+        load(path)
+
+
+def test_from_records_checks_as_put_does():
+    records = np.array([(1, 1, 7, -4), (2, 3, 13, 2)], dtype=RECORD)
+    cache = TraceCache.from_records(records, 2, 50)
+    assert same(cache, TraceCache({(1, 1, 7): -4, (2, 3, 13): 2}, 2, 50))
+    records["a_p"][1] = 8
+    with pytest.raises(ValueError, match="a_p=8 violates the Hasse bound at p=13"):
+        TraceCache.from_records(records)
+    with pytest.raises(ValueError, match="repeat"):
+        TraceCache.from_records(np.array([(1, 1, 7, -4)] * 2, dtype=RECORD))

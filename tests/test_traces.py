@@ -1,4 +1,3 @@
-from collections import Counter
 from math import isqrt
 
 import numpy as np
@@ -8,9 +7,10 @@ from hypothesis import strategies as st
 from sympy.ntheory.elliptic_curve import EllipticCurve
 
 from ellstab import traces
-from ellstab.curves import CurveModel
+from ellstab.curves import curve_box, discriminant, enumerate_curves
 from ellstab.errors import SingularReduction
 from ellstab.primes import primes_up_to
+from ellstab.store import RECORD
 from ellstab.traces import (
     batch_trace_census,
     curve_traces,
@@ -107,17 +107,17 @@ def traces_through(branch, A, B, p):
     """
     with pytest.MonkeyPatch.context() as mp:
         requested = spy_on_census_tables(mp)
+        traces._traced.cache_clear()
         if branch == "table":
-            mp.setattr(traces, "_traced", Counter({p: p * p}))
+            traces._traced(p)[0] = p * p
             out = [curve_traces(A, B, p)]
         elif np.broadcast(A, B).size < p * p:
-            mp.setattr(traces, "_traced", Counter())
             out = [curve_traces(A, B, p)]
         else:
             A, B = np.broadcast_arrays(A, B)
             out = []
             for i in range(0, A.size, p * p - 1):
-                mp.setattr(traces, "_traced", Counter())
+                traces._traced.cache_clear()
                 out.append(curve_traces(A[i:i + p * p - 1], B[i:i + p * p - 1], p))
     assert requested == ([p] if branch == "table" else [])
     if len(out) == 1:
@@ -236,24 +236,41 @@ def test_good_primes():
 
 
 def test_trace_table_examples():
-    recs = trace_table(CurveModel(1, 0), 10, 5)
+    recs = trace_table(1, 0, 10, 5)
+    assert recs.dtype == RECORD
     assert len(recs) == 1
-    (rec,) = recs
-    assert rec.p == 7 and rec.d == 2 and rec.t == rec.a_p % 5
-    assert rec.a_p == frobenius_trace(1, 0, 7)
+    ((A, B, p, a_p),) = recs.tolist()
+    assert (A, B) == (1, 0)
+    assert p == 7 and p % 5 == 2
+    assert a_p == frobenius_trace(1, 0, 7)
 
-    assert trace_table(CurveModel(1, 1), 4, 5) == []
+    assert trace_table(1, 1, 4, 5).size == 0
 
 
 def test_trace_table_skips_bad_primes_and_ell():
     # disc(1,1) = -16*31
-    recs = trace_table(CurveModel(1, 1), 40, 5)
-    ps = [r.p for r in recs]
+    recs = trace_table(1, 1, 40, 5)
+    ps = recs["p"].tolist()
     assert 31 not in ps and 5 not in ps
     assert ps == sorted(ps)
-    for r in recs:
-        assert r.a_p * r.a_p <= 4 * r.p
-        assert r.d == r.p % 5 != 0
+    for p, a_p in zip(ps, recs["a_p"].tolist()):
+        assert a_p * a_p <= 4 * p
+        assert p % 5 != 0
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_trace_table_matches_per_curve_oracle(monkeypatch, ell):
+    # every curve of the X <= 2 box; primes with p^2 <= 150 curves read census tables
+    bound = 300
+    requested = spy_on_census_tables(monkeypatch)
+    got = trace_table(*curve_box(2), bound, ell).tolist()
+    expected = [
+        (c.A, c.B, p, frobenius_trace(c.A, c.B, p))
+        for c in enumerate_curves(2)
+        for p in good_primes(discriminant(c), bound, ell)
+    ]
+    assert got == expected
+    assert requested == [p for p in (5, 7, 11) if p != ell]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
