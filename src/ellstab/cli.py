@@ -42,10 +42,9 @@ def cmd_enumerate(args) -> int:
 def cmd_trace(args) -> int:
     A, B = curve_box(args.X)
     records = trace_table(A, B, args.prime_bound, args.ell)
-    cache = store.TraceCache.from_records(records, args.X, args.prime_bound)
     if args.cache:
-        store.save(cache, args.cache)
-        print(f"saved {len(cache.entries)} records", file=sys.stderr)
+        store.save(store.TraceCache(records, args.X, args.prime_bound), args.cache)
+        print(f"saved {len(records)} records", file=sys.stderr)
     store.write_csv(records, sys.stdout)
     return 0
 
@@ -264,8 +263,8 @@ def main(argv=None) -> int:
     except EllstabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,14 @@
 """Disk cache for computed Frobenius traces.
 
-Single-file binary format: magic, version byte, a little-endian u32 length
-prefix plus JSON metadata, a u64 record count, sorted fixed-width RECORDs
-(A: i64, B: i64, p: u32, a_p: i32, little-endian), and an 8-byte blake2b
-checksum of the record block.  The record block is read and written as one
-numpy array of RECORD, the dtype traces.trace_table returns.  Files are
-immutable; merging is a pure function over loaded caches.
+A cache is one numpy array of RECORD (A: i64, B: i64, p: u32, a_p: i32,
+little-endian), the dtype traces.trace_table returns, in strictly increasing
+(A, B, p) order.  Single-file binary format: magic, version byte, a
+little-endian u32 length prefix plus JSON metadata, a u64 record count, the
+record array's bytes, and an 8-byte blake2b checksum of that block.  load
+rejects a file that is cut short or padded, whose metadata is not an object
+of int-or-null bounds, that fails its checksum, or that holds a record
+outside the Hasse bound or out of key order.  Files are immutable; merging is
+a pure function over loaded caches.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ RECORD = np.dtype([("A", "<i8"), ("B", "<i8"), ("p", "<u4"), ("a_p", "<i4")])
 _CSV_CHUNK = 1 << 15
 
 
-def _checksum(block: bytes) -> bytes:
+def _checksum(block: bytes | memoryview) -> bytes:
     return hashlib.blake2b(block, digest_size=8).digest()
 
 
@@ -38,56 +41,42 @@ def _combine_bound(a: int | None, b: int | None) -> int | None:
     return max(a, b)
 
 
-def _hasse_violation(records: np.ndarray) -> int | None:
-    """Index of the first record with a_p^2 > 4p, or None."""
-    a = records["a_p"].astype(np.int64)
-    bad = np.flatnonzero(a * a > 4 * records["p"].astype(np.int64))
-    return int(bad[0]) if bad.size else None
+def _key_order(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per neighbouring pair of records: does the (A, B, p) key go up, and does it repeat."""
+    lo, hi = records[:-1], records[1:]
+    up, tie = np.zeros(len(lo), dtype=bool), np.ones(len(lo), dtype=bool)
+    for name in ("A", "B", "p"):
+        up |= tie & (lo[name] < hi[name])
+        tie &= lo[name] == hi[name]
+    return up, tie
 
 
-def _entries(records: np.ndarray) -> dict[tuple[int, int, int], int]:
-    keys = zip(records["A"].tolist(), records["B"].tolist(), records["p"].tolist())
-    return dict(zip(keys, records["a_p"].tolist()))
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TraceCache:
-    entries: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    """RECORDs in strictly increasing (A, B, p) order, each within the Hasse bound."""
+
+    records: np.ndarray = field(default_factory=lambda: np.empty(0, RECORD))
     height_bound: int | None = None
     prime_bound: int | None = None
 
-    @classmethod
-    def from_records(
-        cls, records: np.ndarray, height_bound: int | None = None, prime_bound: int | None = None
-    ) -> "TraceCache":
-        """A cache of RECORDs with distinct (A, B, p), each checked as put checks it."""
-        i = _hasse_violation(records)
-        if i is not None:
-            raise ValueError(
-                f"a_p={records['a_p'][i]} violates the Hasse bound at p={records['p'][i]}"
-            )
-        entries = _entries(records)
-        if len(entries) != len(records):
-            raise ValueError("records repeat an (A, B, p) key")
-        return cls(entries, height_bound, prime_bound)
+    def __post_init__(self):
+        r = self.records
+        if r.dtype != RECORD or r.ndim != 1:
+            raise TypeError(f"records must be a 1-D array of {RECORD}")
+        a = r["a_p"].astype(np.int64)
+        bad = np.flatnonzero(a * a > 4 * r["p"].astype(np.int64))
+        if bad.size:
+            raise ValueError(f"Hasse violation in record {bad[0]}")
+        bad = np.flatnonzero(~_key_order(r)[0])
+        if bad.size:
+            raise ValueError(f"record {bad[0] + 1} is out of (A, B, p) order")
 
-    def put(self, A: int, B: int, p: int, a_p: int) -> None:
-        if a_p * a_p > 4 * p:
-            raise ValueError(f"a_p={a_p} violates the Hasse bound at p={p}")
-        key = (A, B, p)
-        old = self.entries.get(key)
-        if old is not None and old != a_p:
-            raise ConflictingEntry(f"{key}: {old} != {a_p}")
-        self.entries[key] = a_p
-
-    def get(self, A: int, B: int, p: int) -> int | None:
-        return self.entries.get((A, B, p))
-
-    def records(self) -> np.ndarray:
-        """The entries as RECORDs in (A, B, p) order; a value outside its field raises."""
-        e = self.entries
-        rows = ((A, B, p, e[A, B, p]) for A, B, p in sorted(e))  # sorts keys, not items
-        return np.fromiter(rows, dtype=RECORD, count=len(e))
+    @property
+    def entries(self) -> dict[tuple[int, int, int], int]:
+        """{(A, B, p): a_p}, built on each read; perfbench's store oracle compares these."""
+        r = self.records
+        keys = zip(r["A"].tolist(), r["B"].tolist(), r["p"].tolist())
+        return dict(zip(keys, r["a_p"].tolist()))
 
 
 def write_csv(records: np.ndarray, fh) -> None:
@@ -104,32 +93,43 @@ def save(cache: TraceCache, path: str | Path) -> None:
         {"height_bound": cache.height_bound, "prime_bound": cache.prime_bound},
         sort_keys=True,
     ).encode()
-    records = cache.records().tobytes()
+    records = cache.records.tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION]))
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
-        fh.write(struct.pack("<Q", len(cache.entries)))
+        fh.write(struct.pack("<Q", len(cache.records)))
         fh.write(records)
         fh.write(_checksum(records))
 
 
+def _bounds(meta) -> tuple[int | None, int | None]:
+    """height_bound and prime_bound of a metadata object, each an int or None."""
+    if not isinstance(meta, dict):
+        raise ValueError("metadata is not a JSON object")
+    bounds = meta.get("height_bound"), meta.get("prime_bound")
+    if any(b is not None and type(b) is not int for b in bounds):
+        raise ValueError(f"bounds {bounds} are not ints or null")
+    return bounds
+
+
 def load(path: str | Path) -> TraceCache:
-    data = Path(path).read_bytes()
-    if len(data) < 4 + 1 + 4 or data[:4] != MAGIC:
+    data = memoryview(Path(path).read_bytes())
+    if data[:4] != MAGIC:
         raise CorruptFile(f"{path}: bad magic")
-    if data[4] != VERSION:
-        raise CorruptFile(f"{path}: unsupported version {data[4]}")
-    off = 5
-    (meta_len,) = struct.unpack_from("<I", data, off)
-    off += 4
     try:
-        meta = json.loads(data[off : off + meta_len])
-    except ValueError as exc:
-        raise CorruptFile(f"{path}: bad metadata") from exc
-    off += meta_len
-    (count,) = struct.unpack_from("<Q", data, off)
+        version, meta_len = struct.unpack_from("<BI", data, 4)
+        off = 9 + meta_len
+        (count,) = struct.unpack_from("<Q", data, off)
+    except struct.error as exc:
+        raise CorruptFile(f"{path}: truncated header") from exc
+    if version != VERSION:
+        raise CorruptFile(f"{path}: unsupported version {version}")
+    try:
+        height_bound, prime_bound = _bounds(json.loads(bytes(data[9:off])))
+    except (ValueError, RecursionError) as exc:  # json raises RecursionError on deep nesting
+        raise CorruptFile(f"{path}: bad metadata: {exc}") from exc
     off += 8
     block_len = count * RECORD.itemsize
     if len(data) != off + block_len + 8:
@@ -137,30 +137,26 @@ def load(path: str | Path) -> TraceCache:
     block = data[off : off + block_len]
     if _checksum(block) != data[off + block_len :]:
         raise CorruptFile(f"{path}: checksum mismatch")
-    records = np.frombuffer(block, dtype=RECORD)
-    i = _hasse_violation(records)
-    if i is not None:
-        raise CorruptFile(f"{path}: Hasse violation in record {i}")
-    return TraceCache(
-        _entries(records), height_bound=meta.get("height_bound"), prime_bound=meta.get("prime_bound")
-    )
+    try:
+        return TraceCache(np.frombuffer(block, dtype=RECORD), height_bound, prime_bound)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
 
 
 def merge(c1: TraceCache, c2: TraceCache) -> TraceCache:
     """Union of two caches; any key disagreement is an upstream bug."""
-    out = TraceCache(
-        entries=dict(c1.entries),
-        height_bound=_combine_bound(c1.height_bound, c2.height_bound),
-        prime_bound=_combine_bound(c1.prime_bound, c2.prime_bound),
+    records = np.unique(np.concatenate([c1.records, c2.records]))  # sorted, exact repeats dropped
+    clash = np.flatnonzero(_key_order(records)[1])
+    if clash.size:
+        A, B, p, old = records[clash[0]].tolist()
+        raise ConflictingEntry(f"{(A, B, p)}: {old} != {records['a_p'][clash[0] + 1]}")
+    return TraceCache(
+        records,
+        _combine_bound(c1.height_bound, c2.height_bound),
+        _combine_bound(c1.prime_bound, c2.prime_bound),
     )
-    for key, a in c2.entries.items():
-        old = out.entries.get(key)
-        if old is not None and old != a:
-            raise ConflictingEntry(f"{key}: {old} != {a}")
-        out.entries[key] = a
-    return out
 
 
 def export_csv(cache: TraceCache, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        write_csv(cache.records(), fh)
+        write_csv(cache.records, fh)

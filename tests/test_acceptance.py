@@ -39,6 +39,7 @@ from ellstab.sieve_stats import lead_constant, t_A_density_curve, variance_stat
 from ellstab.stability import SATISFIED, check_ds
 from ellstab.store import TraceCache, load, merge, save
 from ellstab.traces import batch_trace_census
+from record_helpers import records_of
 
 
 def report(num, name, ok):
@@ -193,23 +194,18 @@ def test_criterion_10_t_A_decay():
 
 def test_criterion_11_store_ingest_contracts(tmp_path):
     ok = True
-    c1 = TraceCache(height_bound=2, prime_bound=50)
-    c1.put(1, 1, 7, -4)
-    c1.put(-1, 0, 11, 0)
+    c1 = TraceCache(records_of({(1, 1, 7): -4, (-1, 0, 11): 0}), height_bound=2, prime_bound=50)
     path = tmp_path / "t.etrc"
     save(c1, path)
     ok = ok and load(path).entries == c1.entries
-    c2 = TraceCache()
-    c2.put(2, 3, 13, 2)
-    c3 = TraceCache()
-    c3.put(0, 1, 7, -1)
+    c2 = TraceCache(records_of({(2, 3, 13): 2}))
+    c3 = TraceCache(records_of({(0, 1, 7): -1}))
     ok = ok and merge(c1, TraceCache()).entries == c1.entries
     ok = ok and merge(c1, c2).entries == merge(c2, c1).entries
     ok = ok and (
         merge(merge(c1, c2), c3).entries == merge(c1, merge(c2, c3)).entries
     )
-    conflict = TraceCache()
-    conflict.put(1, 1, 7, 2)
+    conflict = TraceCache(records_of({(1, 1, 7): 2}))
     try:
         merge(c1, conflict)
         ok = False

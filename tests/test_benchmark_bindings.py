@@ -7,7 +7,7 @@ rather than only as a failed check in a traced benchmark run.
 import importlib
 from pathlib import Path
 
-from ellstab import cli, traces
+from ellstab import cli, curves, store, traces
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +33,12 @@ def test_clearing_the_package_caches_clears_the_cost_rule_count(monkeypatch):
     for clear in inprocess.package_caches():
         clear()
     assert traces._traced(211) == [0]
+
+
+def test_the_store_oracle_accepts_a_saved_trace_cache(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inprocess = importlib.import_module("inprocess")
+    cache = store.TraceCache(traces.trace_table(*curves.curve_box(1), 50, 5), 1, 50)
+    path = tmp_path / "c.etrc"
+    store.save(cache, path)
+    assert inprocess.store_oracle(cache, str(path))[0] is True

@@ -1,13 +1,16 @@
+import contextlib
 import hashlib
 import json
+import os
 import struct
+import tracemalloc
 
 import pytest
 
 from ellstab import traces
 from ellstab.cli import main
 from ellstab.curves import discriminant, enumerate_curves
-from ellstab.store import load
+from ellstab.store import RECORD, load
 from ellstab.traces import frobenius_trace, good_primes
 
 
@@ -125,6 +128,22 @@ def test_trace_output_equals_the_per_curve_loop(capsys, tmp_path, ell):
     assert out == stdout
     assert path.read_bytes() == cache_file
     assert err == f"saved {len(stdout.splitlines()) - 1} records\n"
+
+
+def test_trace_allocates_at_most_five_times_its_record_bytes(tmp_path):
+    # the record array, the (curves x primes) tables it comes from and save's
+    # byte copy fit in 5x; a per-record Python object would not
+    path = tmp_path / "c.etrc"
+    argv = ["trace", "--X", "3", "--ell", "5", "--prime-bound", "1000", "--cache", str(path)]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 5 * RECORD.itemsize * len(load(path).records)
 
 
 def test_trace_rejects_a_prime_bound_above_the_traced_limit_before_any_work(capsys, monkeypatch):
@@ -263,3 +282,19 @@ def test_bad_image_input_exits_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"ValueError: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stability", "--X", "1", "--ell", "5", "--prime-bound", "100", "--degree", "2",
+         "--ranks", "{tmp}/missing.csv"),
+        ("trace", "--X", "1", "--ell", "5", "--prime-bound", "20", "--cache", "{tmp}/nodir/x.etrc"),
+    ],
+    ids=["missing-ranks", "cache-in-missing-dir"],
+)
+def test_unopenable_files_exit_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("FileNotFoundError: ")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import struct
 from math import isqrt
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from ellstab import store
 from ellstab.errors import ConflictingEntry, CorruptFile
 from ellstab.store import RECORD, TraceCache, export_csv, load, merge, save
+from record_helpers import records_of
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 BOUNDS = st.none() | st.integers(1, 10**6)
@@ -30,7 +34,11 @@ def agreeing_caches(draw):
     keys = sorted(truth)
     return [
         TraceCache(
-            {k: truth[k] for k in draw(st.lists(st.sampled_from(keys), unique=True))} if keys else {},
+            records_of(
+                {k: truth[k] for k in draw(st.lists(st.sampled_from(keys), unique=True))}
+                if keys
+                else {}
+            ),
             draw(BOUNDS),
             draw(BOUNDS),
         )
@@ -48,14 +56,18 @@ def same(c1, c2):
 
 @pytest.fixture
 def fixture_caches():
-    c1 = TraceCache(height_bound=2, prime_bound=50)
-    c1.put(1, 1, 7, -4)
-    c1.put(-1, 0, 11, 0)
-    c2 = TraceCache(height_bound=3, prime_bound=50)
-    c2.put(2, 3, 13, 2)
-    c3 = TraceCache()
-    c3.put(0, 1, 7, -1)
+    c1 = TraceCache(records_of({(1, 1, 7): -4, (-1, 0, 11): 0}), height_bound=2, prime_bound=50)
+    c2 = TraceCache(records_of({(2, 3, 13): 2}), height_bound=3, prime_bound=50)
+    c3 = TraceCache(records_of({(0, 1, 7): -1}))
     return c1, c2, c3
+
+
+def raw_file(records: np.ndarray, meta: bytes = b"{}") -> bytes:
+    """A cache file written field by field, with no check on meta or records."""
+    block = records.tobytes()
+    head = b"ETRC" + bytes([1]) + struct.pack("<I", len(meta)) + meta
+    checksum = hashlib.blake2b(block, digest_size=8).digest()
+    return head + struct.pack("<Q", len(records)) + block + checksum
 
 
 def test_round_trip(tmp_path, fixture_caches):
@@ -68,10 +80,9 @@ def test_round_trip(tmp_path, fixture_caches):
     assert loaded.prime_bound == c1.prime_bound
 
 
-def test_hasse_enforced_on_put():
-    c = TraceCache()
+def test_hasse_enforced_on_construction():
     with pytest.raises(ValueError):
-        c.put(1, 1, 7, 6)
+        TraceCache(records_of({(1, 1, 7): 6}))
 
 
 def test_merge_algebra(fixture_caches):
@@ -89,8 +100,7 @@ def test_merge_algebra(fixture_caches):
 
 def test_merge_conflict(fixture_caches):
     c1, _, _ = fixture_caches
-    other = TraceCache()
-    other.put(1, 1, 7, 2)
+    other = TraceCache(records_of({(1, 1, 7): 2}))
     with pytest.raises(ConflictingEntry):
         merge(c1, other)
 
@@ -135,7 +145,7 @@ def test_csv_export(tmp_path, fixture_caches):
 
 def test_csv_rows_cross_chunk_seams(tmp_path, monkeypatch):
     monkeypatch.setattr(store, "_CSV_CHUNK", 2)
-    cache = TraceCache({(A, -A, 7): A % 5 - 2 for A in range(-3, 2)})
+    cache = TraceCache(records_of({(A, -A, 7): A % 5 - 2 for A in range(-3, 2)}))
     path = tmp_path / "traces.csv"
     export_csv(cache, path)
     rows = [f"{A},{B},{p},{a}" for (A, B, p), a in sorted(cache.entries.items())]
@@ -146,7 +156,7 @@ def test_csv_rows_cross_chunk_seams(tmp_path, monkeypatch):
 @given(entries(), BOUNDS, BOUNDS)
 def test_round_trip_property(tmp_path_factory, e, height_bound, prime_bound):
     path = tmp_path_factory.mktemp("rt") / "traces.etrc"
-    cache = TraceCache(dict(e), height_bound, prime_bound)
+    cache = TraceCache(records_of(e), height_bound, prime_bound)
     save(cache, path)
     loaded = load(path)
     assert same(loaded, cache)
@@ -171,7 +181,7 @@ def test_merge_raises_on_any_disagreement(e, data):
     key = data.draw(st.sampled_from(sorted(e)))
     h = isqrt(4 * key[2])
     other = data.draw(st.integers(-h, h).filter(lambda a: a != e[key]))
-    c1, c2 = TraceCache(dict(e)), TraceCache({key: other})
+    c1, c2 = TraceCache(records_of(e)), TraceCache(records_of({key: other}))
     for args in ((c1, c2), (c2, c1)):
         with pytest.raises(ConflictingEntry):
             merge(*args)
@@ -188,28 +198,76 @@ def test_merge_raises_on_any_disagreement(e, data):
         ((0, 0, 7), -(2**31) - 1),
     ],
 )
-def test_save_rejects_values_outside_their_fields(tmp_path, key, a_p):
-    # put checks only the Hasse bound, so these are set directly
-    path = tmp_path / "traces.etrc"
-    cache = TraceCache({(1, 1, 7): -4, key: a_p})
+def test_save_rejects_values_outside_their_fields(key, a_p):
+    # a cache holds RECORDs, so such a value stops before any cache or file exists
     with pytest.raises(OverflowError):
-        save(cache, path)
-    assert not path.exists()
+        records_of({(1, 1, 7): -4, key: a_p})
 
 
 def test_load_names_the_first_record_outside_the_hasse_bound(tmp_path):
     path = tmp_path / "traces.etrc"
-    save(TraceCache({(1, 1, 7): -4, (2, 0, 7): 6, (2, 1, 7): 9, (3, 0, 7): 0}), path)
+    records = records_of({(1, 1, 7): -4, (2, 0, 7): 6, (2, 1, 7): 9, (3, 0, 7): 0})
+    path.write_bytes(raw_file(records))
     with pytest.raises(CorruptFile, match="Hasse violation in record 1$"):
         load(path)
 
 
-def test_from_records_checks_as_put_does():
+def test_construction_checks_hasse_and_key_order():
     records = np.array([(1, 1, 7, -4), (2, 3, 13, 2)], dtype=RECORD)
-    cache = TraceCache.from_records(records, 2, 50)
-    assert same(cache, TraceCache({(1, 1, 7): -4, (2, 3, 13): 2}, 2, 50))
+    cache = TraceCache(records, 2, 50)
+    assert same(cache, TraceCache(records_of({(1, 1, 7): -4, (2, 3, 13): 2}), 2, 50))
     records["a_p"][1] = 8
-    with pytest.raises(ValueError, match="a_p=8 violates the Hasse bound at p=13"):
-        TraceCache.from_records(records)
-    with pytest.raises(ValueError, match="repeat"):
-        TraceCache.from_records(np.array([(1, 1, 7, -4)] * 2, dtype=RECORD))
+    with pytest.raises(ValueError, match="Hasse violation in record 1$"):
+        TraceCache(records)
+    with pytest.raises(ValueError, match="record 1 is out of"):
+        TraceCache(np.array([(1, 1, 7, -4)] * 2, dtype=RECORD))
+    with pytest.raises(ValueError, match="record 1 is out of"):
+        TraceCache(np.array([(1, 1, 11, 0), (1, 1, 7, -4)], dtype=RECORD))
+    with pytest.raises(TypeError):
+        TraceCache(records.astype([("A", "<i8"), ("B", "<i8"), ("p", "<i8"), ("a_p", "<i8")]))
+
+
+def test_every_proper_prefix_is_corrupt(tmp_path, fixture_caches):
+    c1, _, _ = fixture_caches
+    path = tmp_path / "traces.etrc"
+    save(c1, path)
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(CorruptFile):
+            load(path)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        b"[1]",
+        b"null",
+        b'"bounds"',
+        b'{"height_bound": 1.5, "prime_bound": null}',
+        b'{"height_bound": 2, "prime_bound": "50"}',
+        b'{"height_bound": true, "prime_bound": 50}',
+        b'{"height_bound": [2], "prime_bound": 50}',
+        b"[" * 100_000,
+    ],
+)
+def test_load_rejects_metadata_other_than_int_or_null_bounds(tmp_path, meta):
+    path = tmp_path / "traces.etrc"
+    records = records_of({(1, 1, 7): -4})
+    path.write_bytes(raw_file(records, meta))
+    with pytest.raises(CorruptFile, match="bad metadata"):
+        load(path)
+    path.write_bytes(raw_file(records, json.dumps({"height_bound": 2}).encode()))
+    loaded = load(path)
+    assert (loaded.height_bound, loaded.prime_bound) == (2, None)
+
+
+def test_load_rejects_records_out_of_key_order(tmp_path):
+    path = tmp_path / "traces.etrc"
+    records = records_of({(1, 1, 7): -4, (2, 0, 7): 0, (2, 1, 7): 1})
+    path.write_bytes(raw_file(records[[0, 2, 1]]))
+    with pytest.raises(CorruptFile, match="record 2 is out of"):
+        load(path)
+    path.write_bytes(raw_file(records[[0, 1, 1, 2]]))
+    with pytest.raises(CorruptFile, match="record 2 is out of"):
+        load(path)
