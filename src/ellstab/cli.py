@@ -62,10 +62,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    rows = class_numbers.partial_sum_sweep(args.ell, args.prime_bound)
     print("p,d,t,S,main,normalized_error")
-    for p, d, t, s, main, err in class_numbers.partial_sum_sweep(
-        args.ell, args.prime_bound
-    ):
+    for p, d, t, s, main, err in rows:
         print(f"{p},{d},{t},{_fmt_frac(s)},{_fmt_frac(main)},{err:.6f}")
     return 0
 

@@ -10,8 +10,10 @@ from ellstab.class_numbers import (
     hurwitz_partial_sum,
     hurwitz_six_table,
     mass_check,
+    partial_sum_sweep,
 )
 from ellstab.errors import InvalidDiscriminant, OutOfHasseRange
+from ellstab.matgroup import delta_density
 from ellstab.primes import primes_up_to
 from ellstab.traces import batch_trace_census
 
@@ -43,6 +45,48 @@ def test_table_matches_direct_enumeration():
             assert int(table[n]) == hurwitz(n).six_h
         else:
             assert int(table[n]) == 0
+
+
+# 6*H(n) where a reduced form sits on an edge: (a, a, a) weighs 2 sixths, (a, 0, a) 3
+EDGE_SIX_H = {3: 2, 4: 3, 12: 8, 16: 9, 27: 8, 48: 20, 75: 14, 100: 15}
+
+
+def test_table_edge_weights():
+    table = hurwitz_six_table(100)
+    for n, six_h in EDGE_SIX_H.items():
+        assert hurwitz(n).six_h == six_h
+        assert int(table[n]) == six_h
+
+
+@pytest.mark.parametrize("m", [3, 4, 48, 187, 196, 599, 1000])
+def test_table_prefix_consistency(m):
+    # 187 = 4*7^2 - 3^2 and 196 = 4*7^2: m ends on a reduced form with c = a
+    big = hurwitz_six_table(1000)
+    assert hurwitz_six_table(m).tolist() == big[: m + 1].tolist()
+
+
+def sweep_by_scalar_hurwitz(ell, p_max):
+    rows = []
+    for p in primes_up_to(p_max):
+        if p < 5 or p == ell:
+            continue
+        bound = isqrt(4 * p - 1)
+        for t in range(ell):
+            six = sum(
+                hurwitz(4 * p - a * a).six_h
+                for a in range(-bound, bound + 1)
+                if (a - t) % ell == 0
+            )
+            s = Fraction(six, 6)
+            main = 2 * delta_density(t, p % ell, ell) * p
+            rows.append((p, p % ell, t, s, main, abs(float(s - main)) / (ell * p**0.5)))
+    return rows
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13, 37])
+def test_sweep_matches_scalar_hurwitz(ell):
+    # covers primes p < ell; binning by -a mod ell would pass too: H(4p - a^2) is even in a
+    assert partial_sum_sweep(ell, 400) == sweep_by_scalar_hurwitz(ell, 400)
 
 
 def test_deuring_examples():

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from ellstab import traces
+from ellstab import class_numbers, traces
 from ellstab.cli import main
 from ellstab.curves import discriminant, enumerate_curves
 from ellstab.store import RECORD, load
@@ -205,6 +205,27 @@ def test_hurwitz_subcommand(capsys):
     code, out, _ = run(capsys, "hurwitz", "--ell", "5", "--prime-bound", "30")
     assert code == 0
     assert out.splitlines()[0] == "p,d,t,S,main,normalized_error"
+
+
+@pytest.mark.parametrize(
+    "ell, bound, message",
+    [
+        ("4", "100", "ell must be a prime >= 5, got 4"),
+        ("9", "100", "ell must be a prime >= 5, got 9"),
+        ("5", "-5", "prime bound must be in [5, "),
+        ("5", "3", "prime bound must be in [5, "),
+        ("5", str(traces.MAX_TRACE_PRIME + 1), "prime bound must be in [5, "),
+    ],
+)
+def test_bad_hurwitz_input_exits_2_before_any_table(capsys, monkeypatch, ell, bound, message):
+    calls = []
+    monkeypatch.setattr(class_numbers, "hurwitz_six_table", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "hurwitz", "--ell", ell, "--prime-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"ValueError: {message}")
+    assert "Traceback" not in err
+    assert calls == []
 
 
 def test_stability_subcommand(capsys, tmp_path):
