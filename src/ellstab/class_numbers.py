@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidDiscriminant, OutOfHasseRange
 from .matgroup import delta_density
 from .primes import check_ell
-from .traces import MAX_TRACE_PRIME, good_primes
+from .traces import check_prime_bound, good_primes
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ def _six_sums(p: int, ell: int, table: np.ndarray) -> list[int]:
     return sums.tolist()
 
 
-def _partial_row(p: int, t: int, ell: int, six_sum: int) -> tuple[Fraction, Fraction, float]:
-    s = Fraction(six_sum, 6)
-    main = 2 * delta_density(t, p % ell, ell) * p
+def _partial_row(p: int, ell: int, six: int, delta: Fraction) -> tuple[Fraction, Fraction, float]:
+    s = Fraction(six, 6)
+    main = 2 * delta * p
     return s, main, abs(float(s - main)) / (ell * p**0.5)
 
 
@@ -120,9 +120,11 @@ def hurwitz_partial_sum(p: int, t: int, ell: int) -> tuple[Fraction, Fraction, f
     S = sum of H(4p - a^2) over a^2 < 4p with a = t mod ell (exact),
     main = 2 * delta(t, p mod ell, ell) * p, err = |S - main| / (ell * sqrt(p)).
     """
-    if ell < 5 or p == ell:
-        raise ValueError("need ell >= 5 and p != ell")
-    return _partial_row(p, t, ell, _six_sums(p, ell, hurwitz_six_table(4 * p))[t % ell])
+    check_ell(ell)
+    if p == ell:
+        raise ValueError(f"need p != ell, got p = ell = {p}")
+    six = _six_sums(p, ell, hurwitz_six_table(4 * p))[t % ell]
+    return _partial_row(p, ell, six, delta_density(t, p % ell, ell))
 
 
 def census_vs_deuring(p: int) -> list[tuple[int, int, int, bool]]:
@@ -147,14 +149,15 @@ def partial_sum_sweep(
     ell and p_max are checked before any table work.  Then one
     hurwitz_six_table(4 p_max), and per prime one gather of the 2*sqrt(4p)
     values H(4p - a^2) binned by a mod ell, which gives all ell six-sums at
-    once; the exact Fraction rows are most of the remaining cost.
+    once; delta depends on (t, p mod ell) only, so it is computed once per
+    pair that occurs.  The exact Fraction rows are most of the remaining cost.
     """
     check_ell(ell)
-    if not 5 <= p_max <= MAX_TRACE_PRIME:
-        raise ValueError(f"prime bound must be in [5, {MAX_TRACE_PRIME}], got {p_max}")
+    check_prime_bound(p_max)
     table = hurwitz_six_table(4 * p_max)
+    delta = lru_cache(maxsize=None)(delta_density)  # this sweep's own cache
     return [
-        (p, p % ell, t, *_partial_row(p, t, ell, six))
+        (p, p % ell, t, *_partial_row(p, ell, six, delta(t, p % ell, ell)))
         for p in good_primes(1, p_max, ell)
         for t, six in enumerate(_six_sums(p, ell, table))
     ]

@@ -7,6 +7,7 @@ identical bytes.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -16,8 +17,8 @@ from .curves import CurveModel, curve_box, enumerate_curves
 from .errors import EllstabError
 from .galois_image import FieldSpec
 from .matgroup import count_trace_det, delta_density, sl2_order
-from .primes import primes_up_to
-from .traces import batch_trace_census, trace_table
+from .primes import check_ell, primes_up_to
+from .traces import batch_trace_census, check_prime_bound, trace_table
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -29,17 +30,17 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_enumerate(args) -> int:
-    if args.format == "json":
-        for c in enumerate_curves(args.X):
-            print(json.dumps({"A": c.A, "B": c.B}))
-    else:
+    curves = enumerate_curves(args.X)
+    if args.format == "csv":
         print("A,B")
-        for c in enumerate_curves(args.X):
-            print(f"{c.A},{c.B}")
+    for c in curves:
+        print(json.dumps({"A": c.A, "B": c.B}) if args.format == "json" else f"{c.A},{c.B}")
     return 0
 
 
 def cmd_trace(args) -> int:
+    if args.cache and not os.path.isdir(os.path.dirname(os.path.abspath(args.cache))):
+        raise FileNotFoundError(f"no directory for the cache file {args.cache}")
     A, B = curve_box(args.X)
     records = trace_table(A, B, args.prime_bound, args.ell)
     if args.cache:
@@ -50,6 +51,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_census(args) -> int:
+    check_prime_bound(args.prime_bound)
     print("p,a,census,deuring,match")
     ok = True
     for p in primes_up_to(args.prime_bound):
@@ -71,15 +73,15 @@ def cmd_hurwitz(args) -> int:
 
 def cmd_delta(args) -> int:
     ell = args.ell
+    check_ell(ell)
+    rows = [(t, d, delta_density(t, d, ell), count_trace_det(t, d, ell))
+            for d in range(1, ell) for t in range(ell)]
     print("ell,t,d,delta,count,sl2_order,match")
     ok = True
-    for d in range(1, ell):
-        for t in range(ell):
-            delta = delta_density(t, d, ell)
-            count = count_trace_det(t, d, ell)
-            match = delta == Fraction(count, sl2_order(ell))
-            ok &= match
-            print(f"{ell},{t},{d},{_fmt_frac(delta)},{count},{sl2_order(ell)},{int(match)}")
+    for t, d, delta, count in rows:
+        match = delta == Fraction(count, sl2_order(ell))
+        ok &= match
+        print(f"{ell},{t},{d},{_fmt_frac(delta)},{count},{sl2_order(ell)},{int(match)}")
     return 0 if ok else 1
 
 
@@ -160,13 +162,14 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sieve(args) -> int:
+    stats = [
+        sieve_stats.variance_stat(X, args.t1, args.t2, args.d, args.ell, args.samples, args.seed)
+        for X in args.X_list
+    ]
     print("X,ell,t1,t2,d,delta,pi,V,V_over_X")
-    for X in args.X_list:
-        st = sieve_stats.variance_stat(
-            X, args.t1, args.t2, args.d, args.ell, args.samples, args.seed
-        )
+    for st in stats:
         print(
-            f"{X},{args.ell},{args.t1},{args.t2},{args.d},"
+            f"{st.X},{args.ell},{args.t1},{args.t2},{args.d},"
             f"{_fmt_frac(st.delta)},{st.pi},{_fmt_frac(st.V)},{_fmt_frac(st.v_over_x)}"
         )
     return 0
@@ -174,17 +177,17 @@ def cmd_sieve(args) -> int:
 
 def cmd_decay(args) -> int:
     a = CurveModel(args.A, args.B)
+    rows = sieve_stats.t_A_density_curve(a, args.X_list, args.ell, args.prime_bound)
     print("X,matched_ratio")
-    for X, ratio in sieve_stats.t_A_density_curve(
-        a, args.X_list, args.ell, args.prime_bound
-    ):
+    for X, ratio in rows:
         print(f"{X},{_fmt_frac(ratio)}")
     return 0
 
 
 def cmd_countcheck(args) -> int:
+    rows = sieve_stats.curve_count_check(args.X_list)
     print("X,count,main_term,relative_error")
-    for X, count, main, err in sieve_stats.curve_count_check(args.X_list):
+    for X, count, main, err in rows:
         print(f"{X},{count},{main:.3f},{err:.6f}")
     return 0
 

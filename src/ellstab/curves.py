@@ -52,26 +52,15 @@ def height(c: CurveModel) -> int:
     return max(abs(c.A) ** 3, c.B**2)
 
 
-def enumerate_curves(X: int) -> Iterator[CurveModel]:
-    """Yield every curve with |A| <= X^2, |B| <= X^3 in lexicographic (A, B) order."""
-    if X < 1:
-        raise ValueError("height bound X must be >= 1")
-    # Only p <= sqrt(X) can witness non-minimality inside the box.
-    ps = [p for p in primes_up_to(isqrt(X) + 1) if p**4 <= X * X or p**6 <= X**3]
-    a_bound, b_bound = X * X, X**3
-    for A in range(-a_bound, a_bound + 1):
-        a_cube4 = 4 * A**3
-        for B in range(-b_bound, b_bound + 1):
-            if a_cube4 + 27 * B * B == 0:
-                continue
-            if any(A % p**4 == 0 and B % p**6 == 0 for p in ps):
-                continue
-            yield CurveModel(A, B)
-
-
 def _check_height(X: int) -> None:
     if X < 1:
         raise ValueError("height bound X must be >= 1")
+
+
+def enumerate_curves(X: int) -> Iterator[CurveModel]:
+    """Every curve of the height-X box in (A, B) order, lazily from box_rows; X is checked now."""
+    _check_height(X)
+    return (CurveModel(A, B) for A, row in box_rows(X) for B in row.tolist())
 
 
 def box_rows(X: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -91,7 +80,7 @@ def box_rows(X: int) -> Iterator[tuple[int, np.ndarray]]:
 def curve_box(X: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (A, B) of all curves in the height-X box, lexicographic order.
 
-    Vectorized equivalent of enumerate_curves for batch sweeps.
+    The batch form of enumerate_curves: both are built from box_rows.
     """
     a_chunks, b_chunks = [], []
     for A, sel in box_rows(X):
@@ -134,11 +123,18 @@ def _singular_m(X: int) -> np.ndarray:
     return np.flatnonzero(mu)
 
 
+def _squarefree_count(N: int) -> int:
+    """#{squarefree 1 <= m <= N} = sum over d <= sqrt(N) of mu(d) floor(N / d^2)."""
+    d, mu = _sieve_terms(N)
+    return int((mu * (N // (d * d))).sum())
+
+
 def count_curves(X: int) -> int:
     """#C(X) in closed form: the row counts of the box model, summed by d.
 
     Rows with d^4 | A number 2*floor(X^2/d^4) + 1, A = 0 included; the A = 0
-    row also loses B = 0, which the sum gives weight sum(mu(d)).
+    row also loses B = 0, which the sum gives weight sum(mu(d)).  The singular
+    pairs are counted without listing their m, so memory stays O(sqrt(X)).
     """
     _check_height(X)
     a_bound, b_bound = X * X, X**3
@@ -146,7 +142,7 @@ def count_curves(X: int) -> int:
     d, mu = _sieve_terms(X)
     for di, mi in zip(d.tolist(), mu.tolist()):
         total += mi * ((2 * (b_bound // di**6) + 1) * (2 * (a_bound // di**4) + 1) - 1)
-    return total - 2 * len(_singular_m(X))
+    return total - 2 * _squarefree_count(isqrt(X * X // 3))
 
 
 def _row_counts(X: int) -> np.ndarray:

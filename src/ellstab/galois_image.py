@@ -16,7 +16,7 @@ import numpy as np
 from .curves import CurveModel, curve_box, discriminant
 from .matgroup import _primitive_root
 from .primes import check_ell
-from .traces import curve_traces, frobenius_trace, good_primes, legendre_table
+from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes, legendre_table
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
 SURJECTIVE_PROVEN = "SurjectiveProven"
@@ -99,8 +99,7 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
     exceptional-excluding witness, and determinant coverage are all found.
     """
     check_ell(ell)
-    if bound < 5:
-        raise ValueError("prime bound must be >= 5")
+    check_prime_bound(bound)
     log = _unit_logs(ell)
     w: dict = {"split": None, "nonsplit": None, "exceptional": None, "det": {}}
     g = ell - 1
@@ -129,7 +128,6 @@ def t_kl_member(c: CurveModel, ell: int, K: FieldSpec, bound: int) -> str:
     ell > [K:Q] (so ell does not divide [K:Q]!) or when the supplied Galois
     closure degree is prime to ell.  Anything else is Undetermined.
     """
-    check_ell(ell)
     v = classify_image(c, ell, bound)
     if v.status != SURJECTIVE_PROVEN:
         return UNDETERMINED
@@ -142,8 +140,8 @@ def t_kl_member(c: CurveModel, ell: int, K: FieldSpec, bound: int) -> str:
 
 def t_A_proxy_member(e: CurveModel, a: CurveModel, ell: int, bound: int) -> bool:
     """True iff t_p(e) = +-t_p(a) mod ell at every shared good prime p <= bound."""
-    if bound < 5:
-        raise ValueError("prime bound must be >= 5")
+    check_ell(ell)
+    check_prime_bound(bound)
     for p in good_primes(discriminant(e) * discriminant(a), bound, ell):
         te = frobenius_trace(e.A, e.B, p) % ell
         ta = frobenius_trace(a.A, a.B, p) % ell
@@ -200,8 +198,7 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     divides ell - 1, so int32 holds it).
     """
     check_ell(ell)
-    if bound < 5:
-        raise ValueError("prime bound must be >= 5")
+    check_prime_bound(bound)
     A, B = curve_box(X)
     n = len(A)
     log = _unit_logs(ell)

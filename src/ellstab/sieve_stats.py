@@ -1,24 +1,24 @@
 """Empirical sieve statistics: pair counts, variance, and density decay.
 
-The variance statistic averages (pi_pair - delta * pi)^2 over curve pairs,
-exactly when the pair space is small and by seeded Monte Carlo otherwise;
-both paths reduce to integer moment sums, so V is always an exact rational.
-The Monte Carlo path draws box indices first and unranks only the sampled
-curves, so it never builds the box.
+The variance statistic averages (pi_pair - delta * pi)^2 over index pairs
+into the box, every pair when they are few and seeded draws otherwise, via
+integer moment sums, so V is always an exact rational.  The sampled pairs
+are unranked from their indices, so that path never builds the box.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .curves import CurveModel, box_rows, count_curves, curve_box, discriminant, unrank
 from .matgroup import delta_density
-from .primes import primes_up_to
-from .traces import curve_traces, frobenius_trace, good_primes
+from .primes import check_ell, primes_up_to
+from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
-#: above this many pairs the exhaustive double sum gives way to sampling
+#: above this many pairs the exhaustive pair set gives way to sampling
 _EXHAUSTIVE_PAIR_LIMIT = 10**6
 
 
@@ -90,47 +90,38 @@ def variance_stat(
     sample_size: int,
     seed: int,
 ) -> SieveStat:
-    """Mean of (pi_pair - delta*pi)^2 over C(X)^2, exact or Monte Carlo."""
-    if d % ell == 0:
-        raise ValueError("d must be nonzero mod ell")
+    """Mean of (pi_pair - delta*pi)^2 over C(X)^2, exact or Monte Carlo.
+
+    Over index pairs (i1, i2): all n^2 of curve_box while n^2 <= _EXHAUSTIVE_PAIR_LIMIT,
+    else sample_size seeded draws (all of i1, then i2), each side unranked alone.
+    A pair's pi_pair is k = sum_p x_p(E1) y_p(E2); V expands in sum(k) and sum(k^2).
+    """
+    check_ell(ell)
+    delta = pair_delta(t1, t2, d, ell)  # rejects d = 0 mod ell
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     n = count_curves(X)
-    delta = pair_delta(t1, t2, d, ell)
     pi = pi_count(X, d, ell)
     mean = delta * pi
 
     exhaustive = n * n <= _EXHAUSTIVE_PAIR_LIMIT
     if exhaustive:
         A, B = curve_box(X)
-        x_cols = _match_columns(A, B, X, t1, d, ell)
-        y_cols = _match_columns(A, B, X, t2, d, ell)
-        num_pairs = n * n
-        # pi_pair(E1, E2) = sum_p x_p(E1) y_p(E2); expand the square in moments
-        sum_k = 0
-        sum_k2 = 0
-        nprimes = len(x_cols)
-        for i in range(nprimes):
-            xi = x_cols[i].astype(np.int64)
-            yi = y_cols[i].astype(np.int64)
-            sum_k += int(xi.sum()) * int(yi.sum())
-            for j in range(nprimes):
-                xj = x_cols[j].astype(np.int64)
-                yj = y_cols[j].astype(np.int64)
-                sum_k2 += int((xi * xj).sum()) * int((yi * yj).sum())
+        i1, i2 = np.divmod(np.arange(n * n), n)
+        side = lambda i: (A[i], B[i])  # noqa: E731
     else:
-        num_pairs = sample_size
         rng = np.random.default_rng(seed)
         i1 = rng.integers(0, n, size=sample_size)
         i2 = rng.integers(0, n, size=sample_size)
-        x_cols = _match_columns(*unrank(X, i1), X, t1, d, ell)
-        y_cols = _match_columns(*unrank(X, i2), X, t2, d, ell)
-        k = np.zeros(sample_size, dtype=np.int64)
-        for xc, yc in zip(x_cols, y_cols):
-            k += xc & yc
-        sum_k = int(k.sum())
-        sum_k2 = int((k * k).sum())
-
+        side = partial(unrank, X)
+    x_cols = _match_columns(*side(i1), X, t1, d, ell)
+    y_cols = _match_columns(*side(i2), X, t2, d, ell)
+    num_pairs = len(i1)
+    k = np.zeros(num_pairs, dtype=np.int64)
+    for xc, yc in zip(x_cols, y_cols):
+        k += xc & yc
+    sum_k = int(k.sum())
+    sum_k2 = int((k * k).sum())
     v = (
         Fraction(sum_k2, num_pairs)
         - 2 * mean * Fraction(sum_k, num_pairs)
@@ -165,6 +156,8 @@ def t_A_density_curve(
     a: CurveModel, X_values, ell: int, bound: int
 ) -> list[tuple[int, Fraction]]:
     """Proxy ratio of the trace-twin set of a inside C(X), per X."""
+    check_ell(ell)
+    check_prime_bound(bound)
     if bound < 50:
         raise ValueError("prime bound must be >= 50")
     return [(X, t_A_proxy_ratio(a, X, ell, bound)) for X in X_values]

@@ -30,11 +30,10 @@ _SUM_BLOCK = 1 << 16
 _TILED_CHI_LIMIT = 1 << 22
 
 
-def _check_trace_prime(p: int) -> None:
-    if p < 5:
-        raise ValueError("traces only computed at primes p >= 5")
-    if p > MAX_TRACE_PRIME:
-        raise ValueError(f"traces only computed at primes p <= {MAX_TRACE_PRIME}")
+def check_prime_bound(bound: int) -> None:
+    """Raise ValueError unless 5 <= bound <= MAX_TRACE_PRIME: the one range of traced primes."""
+    if not 5 <= bound <= MAX_TRACE_PRIME:
+        raise ValueError(f"prime bound must be in [5, {MAX_TRACE_PRIME}], got {bound}")
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +58,7 @@ def legendre_table(p: int) -> np.ndarray:
 
 def frobenius_trace(r: int, s: int, p: int) -> int:
     """Trace a of Frobenius for y^2 = x^3 + rx + s over F_p, 5 <= p <= MAX_TRACE_PRIME."""
-    _check_trace_prime(p)
+    check_prime_bound(p)
     r %= p
     s %= p
     if (4 * r**3 + 27 * s * s) % p == 0:
@@ -83,8 +82,7 @@ def trace_table(A, B, bound: int, ell: int) -> np.ndarray:
     when the curves are, as curve_box's are.
     """
     check_ell(ell)
-    if bound > MAX_TRACE_PRIME:  # before any work, not at the first prime above it
-        raise ValueError(f"prime bound must be <= {MAX_TRACE_PRIME}, got {bound}")
+    check_prime_bound(bound)
     A, B = np.broadcast_arrays(
         np.atleast_1d(np.asarray(A, dtype=np.int64)), np.atleast_1d(np.asarray(B, dtype=np.int64))
     )
@@ -134,7 +132,7 @@ def trace_census_table(p: int) -> np.ndarray:
     Filled by slabs of rows r holding about _SUM_BLOCK curves, so the int64
     temporaries stay O(max(p, _SUM_BLOCK)) beside the p^2 int16 table.
     """
-    _check_trace_prime(p)
+    check_prime_bound(p)
     table = np.empty((p, p), dtype=np.int16)
     rows = max(1, _SUM_BLOCK // p)
     for r0 in range(0, p, rows):
@@ -155,7 +153,7 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
     this batch included; before that each curve takes the sum.  Renting
     before buying this way never costs more than twice the cheaper choice.
     """
-    _check_trace_prime(p)
+    check_prime_bound(p)
     r, s = np.broadcast_arrays(
         np.asarray(A, dtype=np.int64) % p, np.asarray(B, dtype=np.int64) % p
     )

@@ -121,3 +121,5 @@ def test_partial_sum_reports_error():
     s, main, err = hurwitz_partial_sum(11, 0, 5)
     assert s == 6 and err >= 0
     assert main == 2 * Fraction(5 + 1, 24) * 11
+    with pytest.raises(ValueError, match="need p != ell"):
+        hurwitz_partial_sum(5, 0, 5)

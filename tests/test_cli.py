@@ -3,11 +3,12 @@ import hashlib
 import json
 import os
 import struct
+import time
 import tracemalloc
 
 import pytest
 
-from ellstab import class_numbers, traces
+from ellstab import class_numbers, cli, traces
 from ellstab.cli import main
 from ellstab.curves import discriminant, enumerate_curves
 from ellstab.store import RECORD, load
@@ -152,7 +153,7 @@ def test_trace_rejects_a_prime_bound_above_the_traced_limit_before_any_work(caps
     code, out, err = run(capsys, "trace", "--X", "1", "--ell", "5", "--prime-bound", "2200000")
     assert code == 2
     assert out == ""
-    assert err == f"ValueError: prime bound must be <= {traces.MAX_TRACE_PRIME}, got 2200000\n"
+    assert err == f"ValueError: prime bound must be in [5, {traces.MAX_TRACE_PRIME}], got 2200000\n"
     assert calls == []
 
 
@@ -293,9 +294,10 @@ def test_bad_ell_exits_2(capsys, argv):
     [
         (("image", "--A", "1", "--ell", "5", "--prime-bound", "100"), "image needs --X"),
         (("image", "--ell", "5", "--prime-bound", "100"), "image needs --X"),
-        (("image", "--X", "2", "--ell", "5", "--prime-bound", "3"), "prime bound must be >= 5"),
+        (("image", "--X", "2", "--ell", "5", "--prime-bound", "3"),
+         "prime bound must be in [5, 2097151], got 3"),
         (("image", "--A", "1", "--B", "1", "--ell", "5", "--prime-bound", "3"),
-         "prime bound must be >= 5"),
+         "prime bound must be in [5, 2097151], got 3"),
     ],
 )
 def test_bad_image_input_exits_2(capsys, argv, message):
@@ -314,8 +316,64 @@ def test_bad_image_input_exits_2(capsys, argv, message):
     ],
     ids=["missing-ranks", "cache-in-missing-dir"],
 )
-def test_unopenable_files_exit_2(capsys, tmp_path, argv):
+def test_unopenable_files_exit_2(capsys, monkeypatch, tmp_path, argv):
+    calls = []
+    monkeypatch.setattr(cli, "trace_table", lambda *args: calls.append(args))
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("FileNotFoundError: ")
+    assert calls == []  # the cache path fails before any trace work
+
+
+BOUND_RANGE = f"ValueError: prime bound must be in [5, {traces.MAX_TRACE_PRIME}], got"
+BAD_ELL = "ValueError: ell must be a prime >= 5, got"
+BAD_HEIGHT = "ValueError: height bound X must be >= 1"
+CURVE = ("--A", "-1", "--B", "-1")
+SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "100", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("decay", *CURVE, "--X-list", "2", "--ell", "4", "--prime-bound", "60"),
+                     f"{BAD_ELL} 4", id="decay-ell-4"),
+        pytest.param(("decay", *CURVE, "--X-list", "2", "--ell", "0", "--prime-bound", "60"),
+                     f"{BAD_ELL} 0", id="decay-ell-0"),
+        pytest.param(("sieve", *SIEVE, "--ell", "0"), f"{BAD_ELL} 0", id="sieve-ell-0"),
+        pytest.param(("sieve", *SIEVE, "--ell", "4"), f"{BAD_ELL} 4", id="sieve-ell-4"),
+        pytest.param(("image", "--A", "0", "--B", "1", "--ell", "5", "--prime-bound", "2097152"),
+                     f"{BOUND_RANGE} 2097152", id="image-curve-bound-2097152"),
+        pytest.param(("image", "--A", "0", "--B", "1", "--ell", "5", "--prime-bound", "3000000"),
+                     f"{BOUND_RANGE} 3000000", id="image-curve-bound-3000000"),
+        pytest.param(("image", "--X", "2", "--ell", "5", "--prime-bound", "2097152"),
+                     f"{BOUND_RANGE} 2097152", id="image-box-bound-2097152"),
+        pytest.param(("decay", *CURVE, "--X-list", "2", "--ell", "5", "--prime-bound", "2097152"),
+                     f"{BOUND_RANGE} 2097152", id="decay-bound-2097152"),
+        pytest.param(("decay", *CURVE, "--X-list", "2", "--ell", "5", "--prime-bound", "49"),
+                     "ValueError: prime bound must be >= 50", id="decay-bound-49"),
+        pytest.param(("census", "--prime-bound", "2097152"), f"{BOUND_RANGE} 2097152",
+                     id="census-bound-2097152"),
+        pytest.param(("census", "--prime-bound", "4"), f"{BOUND_RANGE} 4", id="census-bound-4"),
+        pytest.param(("trace", "--X", "1", "--ell", "5", "--prime-bound", "4"),
+                     f"{BOUND_RANGE} 4", id="trace-bound-4"),
+        pytest.param(("stability", "--X", "1", "--ell", "5", "--prime-bound", "2097152",
+                      "--degree", "2"), f"{BOUND_RANGE} 2097152", id="stability-bound-2097152"),
+        pytest.param(("delta", "--ell", "4"), f"{BAD_ELL} 4", id="delta-ell-4"),
+        pytest.param(("delta", "--ell", "0"), f"{BAD_ELL} 0", id="delta-ell-0"),
+        pytest.param(("delta", "--ell", "17"),
+                     "BudgetExceeded: exhaustive GL2 enumeration limited to ell <= 13",
+                     id="delta-ell-17"),
+        pytest.param(("countcheck", "--X-list", "1,0"), BAD_HEIGHT, id="countcheck-X-1,0"),
+        pytest.param(("enumerate", "--X", "0"), BAD_HEIGHT, id="enumerate-csv-X-0"),
+        pytest.param(("enumerate", "--X", "0", "--format", "json"), BAD_HEIGHT,
+                     id="enumerate-json-X-0"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"

@@ -1,4 +1,6 @@
+import tracemalloc
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from ellstab.curves import (
     CurveModel,
     _row_counts,
+    _singular_m,
+    _squarefree_count,
     count_curves,
     curve_box,
     discriminant,
@@ -135,6 +139,7 @@ def test_count_curves_is_the_sum_of_row_counts(X):
     assert len(counts) == 2 * X * X + 1
     assert count_curves(X) == int(counts.sum())
     assert (counts >= 0).all()
+    assert _squarefree_count(isqrt(X * X // 3)) == len(_singular_m(X))
 
 
 @settings(deadline=None, max_examples=40)
@@ -145,6 +150,18 @@ def test_unrank_rejects_out_of_range_indices(X, i):
         i += n
     with pytest.raises(ValueError):
         unrank(X, [0, i])
+
+
+def test_count_curves_counts_the_singular_m_without_listing_them():
+    # about 3.5e8 squarefree m <= 10^9 / sqrt(3): a list of them would take GiBs
+    tracemalloc.start()
+    try:
+        n = count_curves(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert abs(n / (4 / 1.0009945751278182 * 10**45) - 1) < 1e-12
 
 
 def test_bad_height_rejected():

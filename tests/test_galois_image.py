@@ -22,7 +22,9 @@ from ellstab.galois_image import (
     t_A_proxy_member,
     t_kl_member,
 )
+from ellstab.class_numbers import hurwitz_partial_sum, partial_sum_sweep
 from ellstab.matgroup import delta_density, kronecker_mod_ell
+from ellstab.sieve_stats import t_A_density_curve, variance_stat
 from ellstab.traces import frobenius_trace, trace_table
 
 
@@ -177,7 +179,7 @@ def test_sweep_matches_classify_image_across_both_trace_sources(ell, monkeypatch
     assert 0 < res.proven < res.total
 
 
-@pytest.mark.parametrize("ell", [-5, 1, 3, 4, 9, 25])
+@pytest.mark.parametrize("ell", [-5, 0, 1, 3, 4, 9, 25])
 def test_bad_ell_is_rejected_everywhere(ell):
     c = CurveModel(1, 1)
     calls = [
@@ -186,9 +188,34 @@ def test_bad_ell_is_rejected_everywhere(ell):
         lambda: t_kl_member(c, ell, FieldSpec(2), 100),
         lambda: trace_table(c.A, c.B, 100, ell),
         lambda: delta_density(1, 1, ell),
+        lambda: t_A_proxy_member(c, c, ell, 100),
+        lambda: t_A_density_curve(c, [1], ell, 100),
+        lambda: variance_stat(8, 1, 2, 1, ell, 100, 1),
+        lambda: hurwitz_partial_sum(11, 1, ell),
+        lambda: partial_sum_sweep(ell, 100),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="prime >= 5"):
+            call()
+
+
+@pytest.mark.parametrize("bound", [-5, 0, 4, traces.MAX_TRACE_PRIME + 1])
+def test_bad_prime_bound_is_rejected_everywhere(bound):
+    c = CurveModel(1, 1)
+    calls = [
+        lambda: classify_image(c, 5, bound),
+        lambda: surjectivity_sweep(1, 5, bound),
+        lambda: t_kl_member(c, 5, FieldSpec(2), bound),
+        lambda: trace_table(c.A, c.B, bound, 5),
+        lambda: t_A_proxy_member(c, c, 5, bound),
+        lambda: t_A_density_curve(c, [1], 5, bound),
+        lambda: partial_sum_sweep(5, bound),
+        lambda: frobenius_trace(c.A, c.B, bound),
+        lambda: traces.curve_traces(c.A, c.B, bound),
+        lambda: traces.trace_census_table(bound),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^prime bound must be in \[5, 2097151\], got {bound}$"):
             call()
 
 

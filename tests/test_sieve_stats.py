@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstab import traces
+from ellstab import sieve_stats, traces
 from ellstab.curves import CurveModel, count_curves, curve_box, discriminant, enumerate_curves, unrank
 from ellstab.galois_image import t_A_proxy_member
 from ellstab.primes import primes_up_to
@@ -103,6 +103,23 @@ def test_exhaustive_variance_matches_brute_force(params):
     st = variance_stat(X, t1, t2, d, ell, sample_size=10, seed=1)
     assert st.exhaustive
     assert st.V == brute_variance(X, t1, t2, d, ell)
+
+
+def test_exhaustive_pairs_match_pi_pair_where_primes_count(monkeypatch):
+    # no box is both small enough for every pair and tall enough for an
+    # admissible prime, so the pair set runs over 40 curves of the X = 20 box,
+    # where p = 7 and 17 are admissible
+    X, t1, t2, d, ell = 20, 1, 2, 2, 5
+    A, B = unrank(X, np.linspace(0, count_curves(X) - 1, 40).astype(np.int64))
+    monkeypatch.setattr(sieve_stats, "count_curves", lambda X: len(A))
+    monkeypatch.setattr(sieve_stats, "curve_box", lambda X: (A, B))
+    st = variance_stat(X, t1, t2, d, ell, sample_size=10, seed=1)
+    assert st.exhaustive and st.num_pairs == 40 * 40
+    curves = [CurveModel(a, b) for a, b in zip(A.tolist(), B.tolist())]
+    ks = [pi_pair(e1, e2, X, t1, t2, d, ell) for e1 in curves for e2 in curves]
+    assert 0 < sum(ks) and max(ks) == 2
+    mean = pair_delta(t1, t2, d, ell) * pi_count(X, d, ell)
+    assert st.V == sum((k - mean) ** 2 for k in ks) / len(ks)
 
 
 def test_variance_seed_determinism():

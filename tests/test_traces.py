@@ -244,7 +244,8 @@ def test_trace_table_examples():
     assert p == 7 and p % 5 == 2
     assert a_p == frobenius_trace(1, 0, 7)
 
-    assert trace_table(1, 1, 4, 5).size == 0
+    with pytest.raises(ValueError, match=r"prime bound must be in \[5, 2097151\], got 4"):
+        trace_table(1, 1, 4, 5)
 
 
 def test_trace_table_skips_bad_primes_and_ell():
