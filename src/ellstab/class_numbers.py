@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidDiscriminant, OutOfHasseRange
 from .matgroup import delta_density
-from .primes import check_ell
+from .primes import check_ell, is_prime
 from .traces import check_prime_bound, good_primes
 
 
@@ -119,8 +119,12 @@ def hurwitz_partial_sum(p: int, t: int, ell: int) -> tuple[Fraction, Fraction, f
 
     S = sum of H(4p - a^2) over a^2 < 4p with a = t mod ell (exact),
     main = 2 * delta(t, p mod ell, ell) * p, err = |S - main| / (ell * sqrt(p)).
+    p must be a prime in the range of check_prime_bound, other than ell.
     """
     check_ell(ell)
+    check_prime_bound(p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if p == ell:
         raise ValueError(f"need p != ell, got p = ell = {p}")
     six = _six_sums(p, ell, hurwitz_six_table(4 * p))[t % ell]

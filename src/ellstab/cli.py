@@ -39,6 +39,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.cache and os.path.isdir(args.cache):
+        raise IsADirectoryError(f"the cache file {args.cache} is a directory")
     if args.cache and not os.path.isdir(os.path.dirname(os.path.abspath(args.cache))):
         raise FileNotFoundError(f"no directory for the cache file {args.cache}")
     A, B = curve_box(args.X)

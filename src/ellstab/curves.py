@@ -16,6 +16,10 @@ import numpy as np
 from .errors import BadReduction, InvalidCurve
 from .primes import primes_up_to
 
+#: most curves curve_box builds; a sweep over the box peaks near 80 bytes a
+#: curve (605 MB for the 7.56M curves at X = 18), so about 0.8 GB at the limit
+MAX_BOX_CURVES = 10**7
+
 
 def is_minimal(A: int, B: int) -> bool:
     """True iff no prime p has both p^4 | A and p^6 | B.
@@ -80,8 +84,12 @@ def box_rows(X: int) -> Iterator[tuple[int, np.ndarray]]:
 def curve_box(X: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (A, B) of all curves in the height-X box, lexicographic order.
 
-    The batch form of enumerate_curves: both are built from box_rows.
+    The batch form of enumerate_curves: both are built from box_rows.  A box
+    of more than MAX_BOX_CURVES curves is rejected before anything is built.
     """
+    n = count_curves(X)
+    if n > MAX_BOX_CURVES:
+        raise ValueError(f"the height-{X} box has {n} curves, more than {MAX_BOX_CURVES}")
     a_chunks, b_chunks = [], []
     for A, sel in box_rows(X):
         a_chunks.append(np.full(len(sel), A, dtype=np.int64))

@@ -14,9 +14,8 @@ from math import gcd
 import numpy as np
 
 from .curves import CurveModel, curve_box, discriminant
-from .matgroup import _primitive_root
-from .primes import check_ell
-from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes, legendre_table
+from .primes import check_ell, legendre_table, unit_logs
+from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
 SURJECTIVE_PROVEN = "SurjectiveProven"
@@ -66,20 +65,6 @@ def _witness_tables(ell: int) -> tuple[np.ndarray, list, list]:
     return flags, inv, [int(v < 0) for v in chi]
 
 
-@lru_cache(maxsize=16)
-def _unit_logs(ell: int) -> list[int]:
-    """log[d] for each unit d mod ell, to a fixed primitive root.
-
-    Units d_1, d_2, ... generate (Z/ell)^x iff gcd(ell - 1, log d_1, ...) = 1.
-    """
-    log = [0] * ell
-    g, x = _primitive_root(ell), 1
-    for k in range(ell - 1):
-        log[x] = k
-        x = x * g % ell
-    return log
-
-
 def _witnesses(t, d: int, ell: int) -> np.ndarray:
     """(split, nonsplit, exceptional-excluding) flags of trace t at d = p mod ell.
 
@@ -100,7 +85,7 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
     """
     check_ell(ell)
     check_prime_bound(bound)
-    log = _unit_logs(ell)
+    log = unit_logs(ell)
     w: dict = {"split": None, "nonsplit": None, "exceptional": None, "det": {}}
     g = ell - 1
     for p in good_primes(discriminant(c), bound, ell):
@@ -201,7 +186,7 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     check_prime_bound(bound)
     A, B = curve_box(X)
     n = len(A)
-    log = _unit_logs(ell)
+    log = unit_logs(ell)
     proven = np.zeros(n, dtype=bool)
     surv = np.flatnonzero(~_has_cm(A, B))
     flags = np.zeros((3, len(surv)), dtype=bool)

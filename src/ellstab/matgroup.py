@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded
-from .primes import check_ell, is_prime
+from .primes import check_ell, check_unit, is_prime, legendre_table, unit_logs
 
 Mat2 = tuple[int, int, int, int]
 
@@ -51,14 +51,6 @@ def mat_inv(g: Mat2, ell: int) -> Mat2:
     return ((d * inv) % ell, (-b * inv) % ell, (-c * inv) % ell, (a * inv) % ell)
 
 
-def kronecker_mod_ell(m: int, ell: int) -> int:
-    """Quadratic character of m mod ell (odd prime ell)."""
-    m %= ell
-    if m == 0:
-        return 0
-    return 1 if pow(m, (ell - 1) // 2, ell) == 1 else -1
-
-
 def gl2_order(ell: int) -> int:
     return (ell**2 - 1) * (ell**2 - ell)
 
@@ -70,9 +62,8 @@ def sl2_order(ell: int) -> int:
 def delta_density(t: int, d: int, ell: int) -> Fraction:
     """(ell + chi(t^2 - 4d)) / (ell^2 - 1): density of trace t in the det-d coset."""
     check_ell(ell)
-    if d % ell == 0:
-        raise ValueError("d must be nonzero mod ell")
-    chi = kronecker_mod_ell(t * t - 4 * d, ell)
+    check_unit(d, ell)
+    chi = int(legendre_table(ell)[(t * t - 4 * d) % ell])
     return Fraction(ell + chi, ell * ell - 1)
 
 
@@ -92,8 +83,7 @@ def count_trace_det(t: int, d: int, ell: int) -> int:
     """Exhaustive #{g in GL2(F_ell): tr g = t, det g = d}; oracle for delta_density."""
     if ell > 13:
         raise BudgetExceeded("exhaustive GL2 enumeration limited to ell <= 13")
-    if d % ell == 0:
-        raise ValueError("d must be nonzero mod ell")
+    check_unit(d, ell)
     return _trace_det_counts(ell).get((t % ell, d % ell), 0)
 
 
@@ -151,20 +141,8 @@ def sl2_generators(ell: int) -> list[Mat2]:
 
 
 def gl2_generators(ell: int) -> list[Mat2]:
-    g = _primitive_root(ell)
+    g = unit_logs(ell).index(1)  # the least primitive root
     return sl2_generators(ell) + [(g, 0, 0, 1)]
-
-
-def _primitive_root(ell: int) -> int:
-    for g in range(2, ell):
-        seen = set()
-        x = 1
-        for _ in range(ell - 1):
-            x = (x * g) % ell
-            seen.add(x)
-        if len(seen) == ell - 1:
-            return g
-    raise ValueError(f"no primitive root mod {ell}")
 
 
 @lru_cache(maxsize=8)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import CurveModel, box_rows, count_curves, curve_box, discriminant, unrank
 from .matgroup import delta_density
-from .primes import check_ell, primes_up_to
+from .primes import check_ell, check_unit, primes_up_to
 from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
@@ -28,8 +28,7 @@ def pair_delta(t1: int, t2: int, d: int, ell: int) -> Fraction:
 
 def pi_count(X: int, d: int, ell: int) -> int:
     """Number of primes p <= X with p = d mod ell."""
-    if d % ell == 0:
-        raise ValueError("d must be nonzero mod ell")
+    check_unit(d, ell)
     return sum(1 for p in primes_up_to(X) if p % ell == d % ell)
 
 
@@ -41,8 +40,7 @@ def pi_pair(
     e1: CurveModel, e2: CurveModel, X: int, t1: int, t2: int, d: int, ell: int
 ) -> int:
     """Primes p <= X, p = d mod ell, good for both curves, with traces (t1, t2)."""
-    if d % ell == 0:
-        raise ValueError("d must be nonzero mod ell")
+    check_unit(d, ell)
     return sum(
         1
         for p in good_primes(discriminant(e1) * discriminant(e2), X, ell)
@@ -131,23 +129,36 @@ def variance_stat(
 
 
 def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
-    """Fraction of C(X) whose reduced traces match a up to sign below bound."""
+    """Fraction of C(X) whose reduced traces match a up to sign below bound.
+
+    A row's curves are dropped after the first prime they fail, so later
+    primes touch only the survivors.  Whether a curve passes at p depends on
+    (A mod p, B mod p) alone, so each residue pair is traced at most once per
+    call: rows[(p, A mod p)][B mod p] is -1 (not traced yet), 0 (fails) or
+    1 (passes, including bad reduction at p).
+    """
     targets = {
         p: frobenius_trace(a.A, a.B, p) % ell
         for p in good_primes(discriminant(a), bound, ell)
     }
+    rows: dict[tuple[int, int], np.ndarray] = {}
     total = 0
     matched = 0
     for A, b in box_rows(X):
         total += len(b)
-        # drop a row's failed curves after every prime, so later primes touch
-        # only the survivors (and count fewer curves towards a census table)
         for p, ta in targets.items():
             if not len(b):
                 break
-            a_p, good = curve_traces(A, b, p)
-            t = a_p % ell
-            b = b[~good | (t == ta) | (t == (-ta) % ell)]
+            row = rows.get((p, A % p))
+            if row is None:
+                row = rows[p, A % p] = np.full(p, -1, dtype=np.int8)
+            s = b % p
+            new = b[row[s] < 0]
+            if len(new):
+                a_p, good = curve_traces(A, new, p)
+                t = a_p % ell
+                row[new % p] = ~good | (t == ta) | (t == (-ta) % ell)
+            b = b[row[s] == 1]
         matched += len(b)
     return Fraction(matched, total)
 

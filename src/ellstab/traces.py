@@ -2,9 +2,9 @@
 
 a_{r,s}(p) = -sum_x ((x^3 + rx + s)/p), so #E(F_p) = p + 1 - a.  Traces are
 computed with a cached Legendre table per prime; per-prime full (r, s)
-tables back the Deuring census and the batch traces of curve_traces once
-they pay for themselves.  This module alone decides where a batch trace
-comes from and how a singular reduction is marked.
+tables back the Deuring census and the curve_traces batches that pay for
+one.  This module alone decides where a batch trace comes from and how a
+singular reduction is marked.
 """
 
 from functools import lru_cache
@@ -13,7 +13,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import SingularReduction
-from .primes import check_ell, primes_up_to
+from .primes import check_ell, legendre_table, primes_up_to
 from .store import RECORD
 
 #: sentinel in per-prime trace tables for singular (r, s)
@@ -34,26 +34,6 @@ def check_prime_bound(bound: int) -> None:
     """Raise ValueError unless 5 <= bound <= MAX_TRACE_PRIME: the one range of traced primes."""
     if not 5 <= bound <= MAX_TRACE_PRIME:
         raise ValueError(f"prime bound must be in [5, {MAX_TRACE_PRIME}], got {bound}")
-
-
-@lru_cache(maxsize=None)
-def _traced(p: int) -> list[int]:
-    """[curves sent through curve_traces at p], the count of its cost rule.
-
-    A functools cache, so clearing the package's caches clears the count
-    with the census tables it pays for.
-    """
-    return [0]
-
-
-@lru_cache(maxsize=4096)
-def legendre_table(p: int) -> np.ndarray:
-    """chi[v] = (v/p) for v in 0..p-1, as an int8 array."""
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[0] = 0
-    v = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    chi[(v * v) % p] = 1
-    return chi
 
 
 def frobenius_trace(r: int, s: int, p: int) -> int:
@@ -148,19 +128,16 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     A and B are integers or integer arrays (broadcast together, any residue);
     a_p (int64) = 0 and good = False where the reduction is singular.  The
-    character sum costs p per curve and the census table p^3 once, so the
-    table is read once p^2 curves have been traced at p in this process,
-    this batch included; before that each curve takes the sum.  Renting
-    before buying this way never costs more than twice the cheaper choice.
+    character sum costs p per curve and the census table p^3 once, so a
+    batch of at least p^2 curves reads the cached table and a smaller batch
+    takes the sum.  The choice depends on this call's arguments alone.
     """
     check_prime_bound(p)
     r, s = np.broadcast_arrays(
         np.asarray(A, dtype=np.int64) % p, np.asarray(B, dtype=np.int64) % p
     )
     del A, B  # frees a caller's gathered temporaries (sweep survivors) early
-    traced = _traced(p)
-    traced[0] += r.size
-    if traced[0] >= p * p:
+    if r.size >= p * p:
         a = trace_census_table(p)[r, s]
         good = a != SINGULAR
         return np.where(good, a, 0).astype(np.int64), good

@@ -24,17 +24,6 @@ def test_every_traced_binding_exists(monkeypatch):
     assert cli.trace_table is traces.trace_table
 
 
-def test_clearing_the_package_caches_clears_the_cost_rule_count(monkeypatch):
-    # the replay clears them between commands, so each starts as cold as a process
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    inprocess = importlib.import_module("inprocess")
-    traces.curve_traces(1, 1, 211)
-    assert traces._traced(211) == [1]
-    for clear in inprocess.package_caches():
-        clear()
-    assert traces._traced(211) == [0]
-
-
 def test_the_store_oracle_accepts_a_saved_trace_cache(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     inprocess = importlib.import_module("inprocess")

@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+from ellstab import class_numbers
 from ellstab.class_numbers import (
     census_vs_deuring,
     deuring_count,
@@ -123,3 +124,12 @@ def test_partial_sum_reports_error():
     assert main == 2 * Fraction(5 + 1, 24) * 11
     with pytest.raises(ValueError, match="need p != ell"):
         hurwitz_partial_sum(5, 0, 5)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 25])
+def test_partial_sum_rejects_a_p_that_is_not_a_prime_of_at_least_5(p, monkeypatch):
+    calls = []
+    monkeypatch.setattr(class_numbers, "hurwitz_six_table", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="prime bound must be in|p must be prime"):
+        hurwitz_partial_sum(p, 0, 5)
+    assert calls == []

@@ -326,9 +326,22 @@ def test_unopenable_files_exit_2(capsys, monkeypatch, tmp_path, argv):
     assert calls == []  # the cache path fails before any trace work
 
 
+def test_trace_rejects_a_cache_directory_before_any_work(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "trace_table", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "curve_box", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "trace", "--X", "2", "--ell", "5", "--prime-bound", "100",
+                         "--cache", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"IsADirectoryError: the cache file {tmp_path} is a directory\n"
+    assert calls == []
+
+
 BOUND_RANGE = f"ValueError: prime bound must be in [5, {traces.MAX_TRACE_PRIME}], got"
 BAD_ELL = "ValueError: ell must be a prime >= 5, got"
 BAD_HEIGHT = "ValueError: height bound X must be >= 1"
+BIG_BOX = "ValueError: the height-40 box has 409322108 curves, more than 10000000"
 CURVE = ("--A", "-1", "--B", "-1")
 SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "100", "--seed", "1")
 
@@ -368,6 +381,10 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
         pytest.param(("enumerate", "--X", "0"), BAD_HEIGHT, id="enumerate-csv-X-0"),
         pytest.param(("enumerate", "--X", "0", "--format", "json"), BAD_HEIGHT,
                      id="enumerate-json-X-0"),
+        pytest.param(("image", "--X", "40", "--ell", "5", "--prime-bound", "100"), BIG_BOX,
+                     id="image-X-40"),
+        pytest.param(("trace", "--X", "40", "--ell", "5", "--prime-bound", "100"), BIG_BOX,
+                     id="trace-X-40"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):

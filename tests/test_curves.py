@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstab import curves
 from ellstab.curves import (
     CurveModel,
     _row_counts,
@@ -168,6 +169,17 @@ def test_bad_height_rejected():
     for fn in (count_curves, curve_box, lambda X: unrank(X, [0])):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_curve_box_stops_at_its_curve_limit(monkeypatch):
+    # the check counts in closed form, so a rejected box is never built
+    monkeypatch.setattr(curves, "MAX_BOX_CURVES", 150)
+    assert len(curve_box(2)[0]) == 150
+    with pytest.raises(ValueError, match="^the height-3 box has 1042 curves, more than 150$"):
+        curve_box(3)
+    monkeypatch.setattr(curves, "box_rows", lambda X: pytest.fail("box_rows ran"))
+    with pytest.raises(ValueError):
+        curve_box(3)
 
 
 def test_reduce_mod_p():

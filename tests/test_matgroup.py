@@ -16,17 +16,10 @@ from ellstab.matgroup import (
     gl2_order,
     h1_vanishes,
     is_irreducible,
-    kronecker_mod_ell,
     mat_det,
     no_abelian_ell_quotient,
     sl2_order,
 )
-
-
-def test_kronecker_examples():
-    assert kronecker_mod_ell(-4, 5) == 1
-    assert kronecker_mod_ell(0, 5) == 0
-    assert kronecker_mod_ell(-3, 5) == -1
 
 
 def test_delta_density_examples():

@@ -228,8 +228,8 @@ def test_sampled_pairs_match_scalar_oracle_at_X_100(t1, t2, d, ell):
 
 @pytest.mark.parametrize("bound", [60, 400])
 def test_proxy_ratio_matches_member_scan(bound, monkeypatch):
-    # a census table costs O(p^3) and is read only once p^2 curves have been
-    # traced at p; the 150 curves of the X=2 box never reach that above 200
+    # a census table costs O(p^3) and is read only for a batch of p^2 curves;
+    # the rows of the X=2 box hold at most 17 curves, so none is read above 200
     requested = []
     census = traces.trace_census_table
 
@@ -243,7 +243,34 @@ def test_proxy_ratio_matches_member_scan(bound, monkeypatch):
     curves = list(enumerate_curves(X))
     expected = sum(1 for e in curves if t_A_proxy_member(e, a, ell, bound))
     assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
-    assert requested and max(requested) < 200
+    assert all(p < 200 for p in requested)
+
+
+@pytest.mark.parametrize(
+    "a, X, ell, bound",
+    # (25, 125), the twist of (1, 1) by 5, matches with bad reduction at the traced prime 5
+    [(CurveModel(-1, -1), 2, 5, 60), (CurveModel(-1, -1), 3, 5, 400), (CurveModel(1, 1), 5, 7, 60)],
+    ids=["X2", "X3", "twist-by-5"],
+)
+def test_proxy_ratio_traces_each_residue_pair_once(a, X, ell, bound, monkeypatch):
+    # a curve passes at p by (A mod p, B mod p) alone, so a pair traced for
+    # one row is read back in a later row with the same A mod p, not traced
+    traced = []  # the (p, A mod p, B mod p) of each curve_traces call
+    curve_traces = sieve_stats.curve_traces
+
+    def spy(A, B, p):
+        traced.append({(p, A % p, b) for b in (np.asarray(B) % p).tolist()})
+        return curve_traces(A, B, p)
+
+    monkeypatch.setattr(sieve_stats, "curve_traces", spy)
+    curves = list(enumerate_curves(X))
+    expected = sum(1 for e in curves if t_A_proxy_member(e, a, ell, bound))
+    assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
+    assert traced
+    seen = set()
+    for pairs in traced:
+        assert not pairs & seen
+        seen |= pairs
 
 
 def test_density_curve_bounds_and_monotone_trend():

@@ -9,14 +9,13 @@ from sympy.ntheory.elliptic_curve import EllipticCurve
 from ellstab import traces
 from ellstab.curves import curve_box, discriminant, enumerate_curves
 from ellstab.errors import SingularReduction
-from ellstab.primes import primes_up_to
+from ellstab.primes import legendre_table, primes_up_to
 from ellstab.store import RECORD
 from ellstab.traces import (
     batch_trace_census,
     curve_traces,
     frobenius_trace,
     good_primes,
-    legendre_table,
     trace_census_table,
     trace_table,
 )
@@ -99,30 +98,29 @@ def spy_on_census_tables(mp):
 
 
 def traces_through(branch, A, B, p):
-    """curve_traces(A, B, p) through one branch of its cost rule.
+    """curve_traces(A, B, p) through one branch of its per-call rule.
 
-    "table" starts the count at p with p^2 curves, so the census table is
-    read; "sum" traces slices of fewer than p^2 curves, each from a zero
-    count, so it is not.  A spy on trace_census_table checks which one ran.
+    "table" traces the batch with copies of its first curve appended up to
+    p^2 curves, so the census table is read; "sum" traces slices of fewer
+    than p^2 curves, so it is not.  A spy on trace_census_table checks which
+    one ran.  The result has the broadcast shape of A and B.
     """
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
+    shape, A, B = A.shape, A.ravel(), B.ravel()
+    n = A.size
     with pytest.MonkeyPatch.context() as mp:
         requested = spy_on_census_tables(mp)
-        traces._traced.cache_clear()
         if branch == "table":
-            traces._traced(p)[0] = p * p
-            out = [curve_traces(A, B, p)]
-        elif np.broadcast(A, B).size < p * p:
-            out = [curve_traces(A, B, p)]
+            fill = max(0, p * p - n)
+            a, good = curve_traces(np.append(A, np.full(fill, A[0])),
+                                   np.append(B, np.full(fill, B[0])), p)
+            a, good = a[:n], good[:n]
         else:
-            A, B = np.broadcast_arrays(A, B)
-            out = []
-            for i in range(0, A.size, p * p - 1):
-                traces._traced.cache_clear()
-                out.append(curve_traces(A[i:i + p * p - 1], B[i:i + p * p - 1], p))
+            parts = [curve_traces(A[i:i + p * p - 1], B[i:i + p * p - 1], p)
+                     for i in range(0, n, p * p - 1)]
+            a, good = (np.concatenate(x) for x in zip(*parts))
     assert requested == ([p] if branch == "table" else [])
-    if len(out) == 1:
-        return out[0]
-    return np.concatenate([a for a, _ in out]), np.concatenate([g for _, g in out])
+    return a.reshape(shape), good.reshape(shape)
 
 
 def assert_curve_traces_match_point_counts(A, B, p):
@@ -179,21 +177,22 @@ def test_curve_traces_reduce_mod_p_beyond_the_tiled_chi(p):
     assert a.tolist() == [frobenius_trace(r, s, p) for r, s in zip(A.tolist(), B.tolist())]
 
 
-def test_census_table_is_read_once_p_squared_curves_were_traced(monkeypatch):
-    # renting the sum until it would have paid for the O(p^3) table
+def test_the_trace_source_depends_on_the_batch_size_alone(monkeypatch):
+    # however many batches of p^2 - 1 curves came before, none reads the
+    # O(p^3) table; a batch of p^2 curves does
     p = 211
     requested = spy_on_census_tables(monkeypatch)
     A, B = every_residue_pair(p)
-    summed = [curve_traces(A[:10], B[:10], p), curve_traces(A[10:-1], B[10:-1], p)]
+    for _ in range(3):
+        a, good = curve_traces(A[:-1], B[:-1], p)
     assert requested == []
-    last = curve_traces(A[-1:], B[-1:], p)
+    a_all, good_all = curve_traces(A, B, p)
     assert requested == [p]
-    a = np.concatenate([summed[0][0], summed[1][0], last[0]])
-    good = np.concatenate([summed[0][1], summed[1][1], last[1]])
     table = trace_census_table(p)
-    assert np.array_equal(good, (table != traces.SINGULAR).ravel())
-    assert np.array_equal(a, np.where(good, table.ravel(), 0))
-    curve_traces(A[:10], B[:10], 223)  # the count is per prime
+    assert np.array_equal(good_all, (table != traces.SINGULAR).ravel())
+    assert np.array_equal(a_all, np.where(good_all, table.ravel(), 0))
+    assert np.array_equal(good, good_all[:-1]) and np.array_equal(a, a_all[:-1])
+    curve_traces(A[:10], B[:10], p)
     assert requested == [p]
 
 
