@@ -13,12 +13,12 @@ from fractions import Fraction
 from math import isqrt
 
 from . import class_numbers, galois_image, ingest, sieve_stats, stability, store
-from .curves import CurveModel, curve_box, enumerate_curves
+from .curves import CurveModel, box_size, curve_box, enumerate_curves
 from .errors import EllstabError
 from .galois_image import FieldSpec
 from .matgroup import count_trace_det, delta_density, sl2_order
 from .primes import check_ell, primes_up_to
-from .traces import batch_trace_census, check_prime_bound, trace_table
+from .traces import batch_trace_census, check_prime_bound, check_trace_cells, trace_table
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -43,6 +43,7 @@ def cmd_trace(args) -> int:
         raise IsADirectoryError(f"the cache file {args.cache} is a directory")
     if args.cache and not os.path.isdir(os.path.dirname(os.path.abspath(args.cache))):
         raise FileNotFoundError(f"no directory for the cache file {args.cache}")
+    check_trace_cells(box_size(args.X), args.prime_bound, args.ell)
     A, B = curve_box(args.X)
     records = trace_table(A, B, args.prime_bound, args.ell)
     if args.cache:

@@ -81,15 +81,21 @@ def box_rows(X: int) -> Iterator[tuple[int, np.ndarray]]:
         yield A, b[mask]
 
 
+def box_size(X: int) -> int:
+    """count_curves(X); ValueError if the box holds more than MAX_BOX_CURVES curves."""
+    n = count_curves(X)
+    if n > MAX_BOX_CURVES:
+        raise ValueError(f"the height-{X} box has {n} curves, more than {MAX_BOX_CURVES}")
+    return n
+
+
 def curve_box(X: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (A, B) of all curves in the height-X box, lexicographic order.
 
     The batch form of enumerate_curves: both are built from box_rows.  A box
     of more than MAX_BOX_CURVES curves is rejected before anything is built.
     """
-    n = count_curves(X)
-    if n > MAX_BOX_CURVES:
-        raise ValueError(f"the height-{X} box has {n} curves, more than {MAX_BOX_CURVES}")
+    box_size(X)
     a_chunks, b_chunks = [], []
     for A, sel in box_rows(X):
         a_chunks.append(np.full(len(sel), A, dtype=np.int64))

@@ -3,16 +3,19 @@
 The variance statistic averages (pi_pair - delta * pi)^2 over index pairs
 into the box, every pair when they are few and seeded draws otherwise, via
 integer moment sums, so V is always an exact rational.  The sampled pairs
-are unranked from their indices, so that path never builds the box.
+are unranked from their indices, so that path never builds the box.  The
+density decay does not build it either: a CRT pattern of the first primes'
+residues generates only the B that pass them, row by row.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 
 import numpy as np
 
-from .curves import CurveModel, box_rows, count_curves, curve_box, discriminant, unrank
+from .curves import CurveModel, count_curves, curve_box, discriminant, unrank
 from .matgroup import delta_density
 from .primes import check_ell, check_unit, primes_up_to
 from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
@@ -20,6 +23,14 @@ from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wra
 
 #: above this many pairs the exhaustive pair set gives way to sampling
 _EXHAUSTIVE_PAIR_LIMIT = 10**6
+
+#: largest period M of t_A_proxy_ratio's residue pattern: a row's pattern
+#: costs M, and decay's M = 7 * 11 * 13 = 1001 (a = (-1, -1), ell = 5)
+#: already keeps 1 curve in 21
+_PATTERN_PERIOD_LIMIT = 2000
+
+#: largest X with 31 X^6 < 2^63, so 4A^3 + 27B^2 stays in int64 over the box
+MAX_DECAY_HEIGHT = 817
 
 
 def pair_delta(t1: int, t2: int, d: int, ell: int) -> Fraction:
@@ -131,34 +142,61 @@ def variance_stat(
 def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     """Fraction of C(X) whose reduced traces match a up to sign below bound.
 
-    A row's curves are dropped after the first prime they fail, so later
-    primes touch only the survivors.  Whether a curve passes at p depends on
-    (A mod p, B mod p) alone, so each residue pair is traced at most once per
-    call: rows[(p, A mod p)][B mod p] is -1 (not traced yet), 0 (fails) or
-    1 (passes, including bad reduction at p).
+    A curve passes at p when t_p = +-t_p(a) mod ell or p divides its
+    discriminant, which depends on (A mod p, B mod p) alone.  Per (p, A mod p)
+    an int8 row over B mod p holds -1 (not traced yet), 0 (fails) or 1
+    (passes), and each call traces only the residues it has not seen.  The
+    head primes, the first targets whose product M stays within
+    _PATTERN_PERIOD_LIMIT, are traced over all residues; by CRT they give each
+    row A the classes c mod M that pass them all, and only the B = c mod M
+    in [-X^3, X^3] are generated and tested for singularity and minimality.
+    The later primes then drop that row's survivors one by one.  The
+    denominator is count_curves(X), so no row of the box is built.
     """
-    targets = {
-        p: frobenius_trace(a.A, a.B, p) % ell
-        for p in good_primes(discriminant(a), bound, ell)
-    }
+    total = count_curves(X)
+    targets = [(p, frobenius_trace(a.A, a.B, p) % ell)
+               for p in good_primes(discriminant(a), bound, ell)]
+    head, M = 0, 1
+    while head < len(targets) and M * targets[head][0] <= _PATTERN_PERIOD_LIMIT:
+        M *= targets[head][0]
+        head += 1
+    head_classes = [(p, ta, np.arange(M) % p) for p, ta in targets[:head]]
     rows: dict[tuple[int, int], np.ndarray] = {}
-    total = 0
+
+    def passes(p: int, ta: int, A: int, b: np.ndarray) -> np.ndarray:
+        row = rows.get((p, A % p))
+        if row is None:
+            row = rows[p, A % p] = np.full(p, -1, dtype=np.int8)
+        s = b % p
+        asked = np.zeros(p, dtype=bool)
+        asked[s] = True
+        new = np.flatnonzero(asked & (row < 0))
+        if len(new):
+            a_p, good = curve_traces(A, new, p)
+            t = a_p % ell
+            row[new] = ~good | (t == ta) | (t == (-ta) % ell)
+        return row[s] == 1
+
+    b_max = X**3
+    per_class = np.arange(-(-(2 * b_max + 1) // M)) * M
+    minimality = [(q**4, q**6) for q in primes_up_to(isqrt(X))]  # q^4 <= X^2
     matched = 0
-    for A, b in box_rows(X):
-        total += len(b)
-        for p, ta in targets.items():
+    for A in range(-X * X, X * X + 1):
+        pattern = np.ones(M, dtype=bool)
+        for p, ta, c_mod_p in head_classes:
+            pattern &= passes(p, ta, A, np.arange(p))[c_mod_p]
+        c = np.flatnonzero(pattern)
+        first = (c + b_max) % M - b_max  # the least B >= -X^3 in each class c
+        b = first[:, None] + per_class
+        b = b[b <= b_max]
+        b = b[4 * A**3 + 27 * b * b != 0]
+        for q4, q6 in minimality:
+            if A % q4 == 0:
+                b = b[b % q6 != 0]
+        for p, ta in targets[head:]:
             if not len(b):
                 break
-            row = rows.get((p, A % p))
-            if row is None:
-                row = rows[p, A % p] = np.full(p, -1, dtype=np.int8)
-            s = b % p
-            new = b[row[s] < 0]
-            if len(new):
-                a_p, good = curve_traces(A, new, p)
-                t = a_p % ell
-                row[new % p] = ~good | (t == ta) | (t == (-ta) % ell)
-            b = b[row[s] == 1]
+            b = b[passes(p, ta, A, b)]
         matched += len(b)
     return Fraction(matched, total)
 
@@ -171,6 +209,9 @@ def t_A_density_curve(
     check_prime_bound(bound)
     if bound < 50:
         raise ValueError("prime bound must be >= 50")
+    X_values = list(X_values)
+    if max(X_values, default=0) > MAX_DECAY_HEIGHT:
+        raise ValueError(f"height bound X must be <= {MAX_DECAY_HEIGHT}, got {max(X_values)}")
     return [(X, t_A_proxy_ratio(a, X, ell, bound)) for X in X_values]
 
 

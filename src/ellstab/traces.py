@@ -2,9 +2,10 @@
 
 a_{r,s}(p) = -sum_x ((x^3 + rx + s)/p), so #E(F_p) = p + 1 - a.  Traces are
 computed with a cached Legendre table per prime; per-prime full (r, s)
-tables back the Deuring census and the curve_traces batches that pay for
-one.  This module alone decides where a batch trace comes from and how a
-singular reduction is marked.
+tables, filled from three character-sum rows by quadratic twists, back the
+Deuring census and the curve_traces batches large enough to read one.  This
+module alone decides where a batch trace comes from and how a singular
+reduction is marked.
 """
 
 from functools import lru_cache
@@ -13,7 +14,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import SingularReduction
-from .primes import check_ell, legendre_table, primes_up_to
+from .primes import check_ell, legendre_table, primes_up_to, unit_logs
 from .store import RECORD
 
 #: sentinel in per-prime trace tables for singular (r, s)
@@ -28,6 +29,11 @@ _SUM_BLOCK = 1 << 16
 #: largest chi repeated p times (bytes) that the gather reads instead of reducing
 #: mod p, a step that about doubles the cost of a block
 _TILED_CHI_LIMIT = 1 << 22
+
+#: most (curve, good prime) cells trace_table fills.  The trace command peaks
+#: near 68 bytes a cell (44.8 MB at X = 3, 80.5 MB at X = 4 and 172 MB at
+#: X = 5, bound 1000: 0.17M, 0.70M and 2.1M cells), so about 1 GB at the limit
+MAX_TRACE_CELLS = 15_000_000
 
 
 def check_prime_bound(bound: int) -> None:
@@ -53,19 +59,30 @@ def good_primes(disc: int, bound: int, ell: int) -> list[int]:
     return [p for p in primes_up_to(bound) if p >= 5 and p != ell and disc % p]
 
 
+def check_trace_cells(n_curves: int, bound: int, ell: int) -> None:
+    """Raise ValueError unless trace_table over n_curves curves fits MAX_TRACE_CELLS cells."""
+    check_ell(ell)
+    check_prime_bound(bound)
+    cells = n_curves * len(good_primes(1, bound, ell))
+    if cells > MAX_TRACE_CELLS:
+        raise ValueError(
+            f"tracing {n_curves} curves below {bound} fills {cells} cells, more than {MAX_TRACE_CELLS}"
+        )
+
+
 def trace_table(A, B, bound: int, ell: int) -> np.ndarray:
     """RECORDs (A, B, p, a_p) for every good prime 5 <= p <= bound with p != ell.
 
     A and B are integers or 1-D integer arrays (broadcast together); one
     curve_traces call per prime fills an (n_curves, n_primes) table, and
     the records are its good entries in row-major order: (A, B, p) order
-    when the curves are, as curve_box's are.
+    when the curves are, as curve_box's are.  More than MAX_TRACE_CELLS
+    cells are refused before the first trace.
     """
-    check_ell(ell)
-    check_prime_bound(bound)
     A, B = np.broadcast_arrays(
         np.atleast_1d(np.asarray(A, dtype=np.int64)), np.atleast_1d(np.asarray(B, dtype=np.int64))
     )
+    check_trace_cells(A.size, bound, ell)
     ps = np.array(good_primes(1, bound, ell), dtype=np.uint32)
     a = np.empty((A.size, ps.size), dtype=np.int32)
     good = np.empty(a.shape, dtype=bool)
@@ -83,10 +100,12 @@ def _character_sums(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, n
     One 2-D gather chi[(x^3 + r x + s) mod p] over blocks of about _SUM_BLOCK
     elements, summed over x in int64.  The unreduced index x^3 mod p + r x + s
     is below p^2, so while chi repeated p times fits in _TILED_CHI_LIMIT bytes
-    the gather reads that instead of reducing mod p.
+    the gather reads that instead of reducing mod p, for a batch of at least
+    p/64 curves: building it costs about as much as reducing that many curves'
+    indices (measured for 101 <= p <= 1999).
     """
     chi = legendre_table(p)
-    tiled = p * p <= _TILED_CHI_LIMIT
+    tiled = p * p <= _TILED_CHI_LIMIT and 64 * r.size >= p
     if tiled:
         chi = np.tile(chi, p)
     x = np.arange(p, dtype=np.int64)
@@ -109,16 +128,37 @@ def _character_sums(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, n
 def trace_census_table(p: int) -> np.ndarray:
     """int16 table T[r, s] = a_{r,s}(p), with SINGULAR marking 4r^3+27s^2 = 0.
 
-    Filled by slabs of rows r holding about _SUM_BLOCK curves, so the int64
-    temporaries stay O(max(p, _SUM_BLOCK)) beside the p^2 int16 table.
+    Rows 0, 1 and g (the least primitive root) are character sums, 3p sums
+    of length p.  Every other row r = g^k is a signed permutation of row
+    g^(k mod 2): (lam^2 r, lam^3 s) with lam = g^-(k // 2) is the quadratic
+    twist of (r, s) by lam, so T[r, s] = (-1)^(k // 2) T[g^(k mod 2), lam^3 s],
+    and singular pairs map to singular pairs.  That gather costs about p^2
+    beside the 3p^2 of the sums; it runs by slabs of rows holding about
+    _SUM_BLOCK entries, so the int64 temporaries stay O(max(p, _SUM_BLOCK))
+    beside the p^2 int16 table.
     """
     check_prime_bound(p)
+    logs = unit_logs(p)
+    g = logs.index(1)
+    s = np.arange(p, dtype=np.int64)
+    a, good = _character_sums(np.repeat(np.array([0, 1, g], dtype=np.int64), p), np.tile(s, 3), p)
+    base = np.where(good, a, SINGULAR).astype(np.int16).reshape(3, p)
+    power = np.empty(p - 1, dtype=np.int64)  # power[e] = g^e mod p
+    power[logs[1:]] = s[1:]
+    k = np.array(logs, dtype=np.int64)
+    half = k // 2
+    scale = power[-3 * half % (p - 1)]  # lam^3 for each row r = g^k
+    sign = (1 - 2 * (half % 2)).astype(np.int16)  # chi(lam)
     table = np.empty((p, p), dtype=np.int16)
     rows = max(1, _SUM_BLOCK // p)
     for r0 in range(0, p, rows):
-        r, s = np.divmod(np.arange(r0 * p, min(r0 + rows, p) * p, dtype=np.int64), p)
-        a, good = _character_sums(r, s, p)
-        table[r0:r0 + rows] = np.where(good, a, SINGULAR).reshape(-1, p)
+        r = slice(r0, min(r0 + rows, p))
+        col = scale[r, None] * s
+        col %= p
+        v = base[1 + k[r, None] % 2, col]
+        np.multiply(v, sign[r, None], out=table[r])
+        table[r][v == SINGULAR] = SINGULAR  # a singular pair stays unsigned
+    table[0] = base[0]  # r = 0 is no power of g: its own sums
     table.setflags(write=False)
     return table
 
@@ -128,9 +168,10 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     A and B are integers or integer arrays (broadcast together, any residue);
     a_p (int64) = 0 and good = False where the reduction is singular.  The
-    character sum costs p per curve and the census table p^3 once, so a
-    batch of at least p^2 curves reads the cached table and a smaller batch
-    takes the sum.  The choice depends on this call's arguments alone.
+    character sum costs p per curve.  The census table costs about 4p^2 once
+    but holds 2p^2 bytes in a cache of 256, so only a batch of at least p^2
+    curves reads it, and a smaller batch takes the sum.  The choice depends
+    on this call's arguments alone.
     """
     check_prime_bound(p)
     r, s = np.broadcast_arrays(

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ellstab import class_numbers, cli, traces
+from ellstab import class_numbers, cli, sieve_stats, traces
 from ellstab.cli import main
 from ellstab.curves import discriminant, enumerate_curves
 from ellstab.store import RECORD, load
@@ -342,6 +342,8 @@ BOUND_RANGE = f"ValueError: prime bound must be in [5, {traces.MAX_TRACE_PRIME}]
 BAD_ELL = "ValueError: ell must be a prime >= 5, got"
 BAD_HEIGHT = "ValueError: height bound X must be >= 1"
 BIG_BOX = "ValueError: the height-40 box has 409322108 curves, more than 10000000"
+TRACE_CELLS = ("ValueError: tracing 401782 curves below 1000 fills 66294030 cells, "
+               f"more than {traces.MAX_TRACE_CELLS}")
 CURVE = ("--A", "-1", "--B", "-1")
 SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "100", "--seed", "1")
 
@@ -385,6 +387,10 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                      id="image-X-40"),
         pytest.param(("trace", "--X", "40", "--ell", "5", "--prime-bound", "100"), BIG_BOX,
                      id="trace-X-40"),
+        pytest.param(("decay", *CURVE, "--X-list", "5,818", "--ell", "5", "--prime-bound", "100"),
+                     "ValueError: height bound X must be <= 817, got 818", id="decay-X-818"),
+        pytest.param(("trace", "--X", "10", "--ell", "5", "--prime-bound", "1000"), TRACE_CELLS,
+                     id="trace-X-10-bound-1000"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):
@@ -394,3 +400,28 @@ def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == message + "\n"
+
+
+def test_trace_refuses_more_cells_than_its_limit_before_the_box(capsys, monkeypatch):
+    # 401,782 curves at 165 primes would need about 4 GB
+    calls = []
+    monkeypatch.setattr(traces, "curve_traces", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "curve_box", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "trace", "--X", "10", "--ell", "5", "--prime-bound", "1000")
+    assert code == 2
+    assert out == ""
+    assert err == TRACE_CELLS + "\n"
+    assert calls == []
+
+
+def test_decay_refuses_a_height_past_int64_before_any_trace(capsys, monkeypatch):
+    # from X = 818 on, 4A^3 + 27B^2 can pass 2^63 inside the box
+    calls = []
+    monkeypatch.setattr(sieve_stats, "curve_traces", lambda *args: calls.append(args))
+    monkeypatch.setattr(sieve_stats, "frobenius_trace", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "decay", *CURVE, "--X-list", "5,818", "--ell", "5",
+                         "--prime-bound", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "ValueError: height bound X must be <= 817, got 818\n"
+    assert calls == []

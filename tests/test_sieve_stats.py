@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ellstab.sieve_stats import (
     variance_stat,
     zeta10,
 )
-from ellstab.traces import SINGULAR, frobenius_trace, trace_census_table
+from ellstab.traces import SINGULAR, curve_traces, frobenius_trace, good_primes, trace_census_table
 
 
 def test_pi_count_examples():
@@ -271,6 +272,41 @@ def test_proxy_ratio_traces_each_residue_pair_once(a, X, ell, bound, monkeypatch
     for pairs in traced:
         assert not pairs & seen
         seen |= pairs
+
+
+@lru_cache(maxsize=None)
+def member_scan(a, ell, bound, X_max=5):
+    """(A, B) of the curves of C(X_max) for which t_A_proxy_member(e, a) holds."""
+    return [(e.A, e.B) for e in enumerate_curves(X_max) if t_A_proxy_member(e, a, ell, bound)]
+
+
+@pytest.mark.parametrize("bound", [50, 60, 400])
+@pytest.mark.parametrize("a, ell", [(CurveModel(-1, -1), 5), (CurveModel(1, 1), 7)],
+                         ids=["a=(-1,-1)", "a=(1,1)"])
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 5])
+def test_proxy_ratio_equals_the_member_scan(X, a, ell, bound):
+    # rows of at most 2X^3 + 1 <= 251 B, shorter than the pattern period
+    # M = 1001, so most residue classes hold no B of the box; C(X) is the
+    # part of C(5) inside the height-X box
+    members = [(A, B) for A, B in member_scan(a, ell, bound) if abs(A) <= X * X and abs(B) <= X**3]
+    assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(len(members), count_curves(X))
+
+
+@pytest.mark.parametrize("a, ell", [(CurveModel(-1, -1), 5), (CurveModel(1, 1), 7)],
+                         ids=["a=(-1,-1)", "a=(1,1)"])
+def test_proxy_ratio_drops_singular_and_non_minimal_pairs(a, ell):
+    # (-3, +-2) is singular, so it passes at every prime as bad reduction;
+    # (16a.A, 64a.B) is a scaled by 2 (p^4 | A, p^6 | B), with a's traces
+    # at every odd prime.  Neither is a curve of C(4), so neither is counted.
+    scaled = (16 * a.A, 64 * a.B)
+    for p in good_primes(discriminant(a), 60, ell):
+        ta = frobenius_trace(a.A, a.B, p) % ell
+        t, good = curve_traces([-3, -3, scaled[0]], [2, -2, scaled[1]], p)
+        assert good.tolist() == [False, False, True] and t[2] % ell in (ta, -ta % ell)
+    members = member_scan(a, ell, 60)
+    assert scaled not in members and (a.A, a.B) in members
+    fours = [(A, B) for A, B in members if abs(A) <= 16 and abs(B) <= 64]
+    assert t_A_proxy_ratio(a, 4, ell, 60) == Fraction(len(fours), count_curves(4))
 
 
 def test_density_curve_bounds_and_monotone_trend():

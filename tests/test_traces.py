@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympy.ntheory.elliptic_curve import EllipticCurve
 
 from ellstab import traces
-from ellstab.curves import curve_box, discriminant, enumerate_curves
+from ellstab.curves import count_curves, curve_box, discriminant, enumerate_curves
 from ellstab.errors import SingularReduction
 from ellstab.primes import legendre_table, primes_up_to
 from ellstab.store import RECORD
@@ -209,6 +209,57 @@ def test_census_table_rows_on_both_sides_of_a_slab_seam():
                 assert table[r, s] == frobenius_trace(r, s, p)
 
 
+def census_oracle(p):
+    """The p x p table straight from _character_sums over the full grid."""
+    r, s = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    a, good = traces._character_sums(r, s, p)
+    return np.where(good, a, traces.SINGULAR).astype(np.int16).reshape(p, p)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(199) if p >= 5] + [211, 499])
+def test_census_table_equals_the_full_grid_character_sums(p):
+    # every row but 0, 1 and g is gathered through the twist orbits
+    table = trace_census_table(p)
+    assert table.dtype == np.int16 and not table.flags.writeable
+    assert np.array_equal(table, census_oracle(p))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([p for p in primes_up_to(1000) if p >= 5]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(1, 10**6),
+    st.integers(0, 10**4),
+)
+def test_quadratic_twist_multiplies_the_trace_by_chi(p, r, s, lam, m):
+    # a_p(lam^2 r, lam^3 s) = chi(lam) a_p(r, s), and (lam^2 r, lam^3 s) is
+    # singular iff (r, s) is; (-3m^2, 2m^3) adds a singular pair mod p
+    assume(lam % p)
+    r = np.array([r, -3 * m * m], dtype=np.int64) % p
+    s = np.array([s, 2 * m**3], dtype=np.int64) % p
+    a, good = traces._character_sums(r, s, p)
+    lam %= p
+    a_twist, good_twist = traces._character_sums(lam * lam * r % p, lam**3 * s % p, p)
+    assert not good[1]
+    assert good_twist.tolist() == good.tolist()
+    chi = 1 if pow(lam, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
+    assert a_twist.tolist() == (chi * a).tolist()
+
+
+@pytest.mark.parametrize("sentinel", [np.int16(-32767), np.int16(32767)])
+def test_census_table_never_signs_the_singular_mark(monkeypatch, sentinel):
+    # the int16 minimum is its own negative, so a negated SINGULAR would pass
+    # unseen; with a sentinel whose negative differs it would not
+    monkeypatch.setattr(traces, "SINGULAR", sentinel)
+    for p in (5, 7, 13, 31, 101):
+        r, s = np.divmod(np.arange(p * p), p)
+        singular = ((4 * r**3 + 27 * s * s) % p == 0).reshape(p, p)
+        table = trace_census_table.__wrapped__(p)  # past the cache of true tables
+        assert np.array_equal(table == sentinel, singular)
+        assert np.array_equal(table, census_oracle(p))
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     st.sampled_from([p for p in primes_up_to(223) if p >= 5]),
@@ -225,6 +276,12 @@ def test_traces_match_sympy_group_order(p, A, B):
     for branch in BRANCHES:
         a, good = traces_through(branch, A, B, p)
         assert good.tolist() is True and a.tolist() == expected
+
+
+def test_trace_cells_admit_the_X4_box_and_refuse_the_X10_box_at_bound_1000():
+    traces.check_trace_cells(count_curves(4), 1000, 5)
+    with pytest.raises(ValueError, match="more than"):
+        traces.check_trace_cells(count_curves(10), 1000, 5)
 
 
 def test_good_primes():
