@@ -64,19 +64,22 @@ def hurwitz(n: int) -> HurwitzValue:
 def hurwitz_six_table(n_max: int) -> np.ndarray:
     """Array h6 with h6[n] = 6*H(n) for 0 < n <= n_max (0 elsewhere).
 
-    One numpy update per reduced pair (a, b) with 3a^2 <= n_max, over its
-    whole range c = a .. (n_max + b^2) // 4a of n = 4ac - b^2 (distinct n, so
-    a plain fancy-index += is exact).  Only c = a carries an edge weight;
-    every c > a counts 6, or 12 with the distinct class (a, -b, c).  About
-    n_max/6 Python-level steps and O(n_max^{3/2}) numpy work in all.
+    For each reduced pair (a, b) with 3a^2 <= n_max, the n = 4ac - b^2 over
+    c = a, a + 1, ... form the arithmetic progression of step 4a from
+    4a^2 - b^2, so one in-place add on the strided slice h6[n::4a] counts
+    every c at once, with no index array.  Only c = a carries an edge
+    weight; every c > a counts 6, or 12 with the distinct class (a, -b, c).
+    About n_max/6 Python-level steps, each one strided add of about
+    n_max/4a entries, and no temporaries beside the table.
     """
     h6 = np.zeros(n_max + 1, dtype=np.int64)
     a = 1
     while 3 * a * a <= n_max:
         for b in range(a + 1):
-            n = 4 * a * np.arange(a, (n_max + b * b) // (4 * a) + 1) - b * b
-            h6[n[:1]] += _weight_six(a, b, a)
-            h6[n[1:]] += 6 if b in (0, a) else 12
+            n = 4 * a * a - b * b  # c = a
+            if n <= n_max:
+                h6[n] += _weight_six(a, b, a)
+                h6[n + 4 * a::4 * a] += 6 if b in (0, a) else 12
         a += 1
     h6.setflags(write=False)
     return h6
@@ -109,9 +112,11 @@ def _six_sums(p: int, ell: int, table: np.ndarray) -> list[int]:
 
 
 def _partial_row(p: int, ell: int, six: int, delta: Fraction) -> tuple[Fraction, Fraction, float]:
-    s = Fraction(six, 6)
-    main = 2 * delta * p
-    return s, main, abs(float(s - main)) / (ell * p**0.5)
+    # S - main = (six * den - 12 p num) / (6 den), and int true division rounds
+    # that exactly as float(S - main) would
+    num, den = delta.numerator, delta.denominator
+    err = abs(six * den - 12 * p * num) / (6 * den)
+    return Fraction(six, 6), Fraction(2 * p * num, den), err / (ell * p**0.5)
 
 
 def hurwitz_partial_sum(p: int, t: int, ell: int) -> tuple[Fraction, Fraction, float]:
@@ -154,7 +159,10 @@ def partial_sum_sweep(
     hurwitz_six_table(4 p_max), and per prime one gather of the 2*sqrt(4p)
     values H(4p - a^2) binned by a mod ell, which gives all ell six-sums at
     once; delta depends on (t, p mod ell) only, so it is computed once per
-    pair that occurs.  The exact Fraction rows are most of the remaining cost.
+    pair that occurs.  Each row is built from integers: S = six/6 and
+    main = 2p delta as two Fractions, err by one exact int division.  Those
+    two Fractions are still the largest part of the remaining cost, beside
+    one np.add.at per prime.
     """
     check_ell(ell)
     check_prime_bound(p_max)

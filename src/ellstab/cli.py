@@ -124,6 +124,7 @@ def cmd_image(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    stability.check_box_curves(args.X)
     K = FieldSpec(args.degree, args.closure_degree)
     ranks = ingest.load_rank_csv(args.ranks).ranks if args.ranks else {}
     curves = list(enumerate_curves(args.X))

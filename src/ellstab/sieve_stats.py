@@ -29,6 +29,11 @@ _EXHAUSTIVE_PAIR_LIMIT = 10**6
 #: already keeps 1 curve in 21
 _PATTERN_PERIOD_LIMIT = 2000
 
+#: t_A_proxy_ratio keeps one bool verdict table over all (A mod p, B mod p)
+#: for p below this, read from the census table; a larger prime keeps lazy
+#: int8 rows per A mod p, since tables for every p < 1000 would hold about 50 MB
+_VERDICT_TABLE_PRIME = 200
+
 #: largest X with 31 X^6 < 2^63, so 4A^3 + 27B^2 stays in int64 over the box
 MAX_DECAY_HEIGHT = 817
 
@@ -143,15 +148,19 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     """Fraction of C(X) whose reduced traces match a up to sign below bound.
 
     A curve passes at p when t_p = +-t_p(a) mod ell or p divides its
-    discriminant, which depends on (A mod p, B mod p) alone.  Per (p, A mod p)
-    an int8 row over B mod p holds -1 (not traced yet), 0 (fails) or 1
-    (passes), and each call traces only the residues it has not seen.  The
-    head primes, the first targets whose product M stays within
-    _PATTERN_PERIOD_LIMIT, are traced over all residues; by CRT they give each
-    row A the classes c mod M that pass them all, and only the B = c mod M
-    in [-X^3, X^3] are generated and tested for singularity and minimality.
-    The later primes then drop that row's survivors one by one.  The
-    denominator is count_curves(X), so no row of the box is built.
+    discriminant, which depends on (A mod p, B mod p) alone.  A prime
+    p < _VERDICT_TABLE_PRIME gets, when first asked, one bool table over
+    all (A mod p, B mod p) from a single curve_traces call (which reads the
+    census table), so a row's verdicts are one gather.  A larger prime keeps
+    an int8 row per A mod p over B mod p holding -1 (not traced yet), 0
+    (fails) or 1 (passes), and each call traces only the residues it has not
+    seen.  The head primes, the first targets whose product M stays within
+    _PATTERN_PERIOD_LIMIT, give each row A by CRT the classes c mod M that
+    pass them all, and only the B = c mod M in [-X^3, X^3] are generated and
+    tested for minimality, and for singularity in the rows A = -3k^2, whose
+    singular pairs are (A, +-2k^3).  The later primes then drop that
+    row's survivors one by one.  The denominator is count_curves(X), so no
+    row of the box is built.
     """
     total = count_curves(X)
     targets = [(p, frobenius_trace(a.A, a.B, p) % ell)
@@ -161,20 +170,30 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
         M *= targets[head][0]
         head += 1
     head_classes = [(p, ta, np.arange(M) % p) for p, ta in targets[:head]]
+    tables: dict[int, np.ndarray] = {}
     rows: dict[tuple[int, int], np.ndarray] = {}
 
-    def passes(p: int, ta: int, A: int, b: np.ndarray) -> np.ndarray:
+    def verdicts(A, B, p: int, ta: int) -> np.ndarray:
+        a_p, good = curve_traces(A, B, p)
+        t = a_p % ell
+        return ~good | (t == ta) | (t == (-ta) % ell)
+
+    def passes(p: int, ta: int, A: int, s: np.ndarray) -> np.ndarray:
+        """Verdicts of the curves (A, B) with B = s mod p, for residues 0 <= s < p."""
+        if p < _VERDICT_TABLE_PRIME:
+            table = tables.get(p)
+            if table is None:
+                r = np.arange(p)
+                table = tables[p] = verdicts(r[:, None], r, p, ta)
+            return table[A % p][s]
         row = rows.get((p, A % p))
         if row is None:
             row = rows[p, A % p] = np.full(p, -1, dtype=np.int8)
-        s = b % p
         asked = np.zeros(p, dtype=bool)
         asked[s] = True
         new = np.flatnonzero(asked & (row < 0))
         if len(new):
-            a_p, good = curve_traces(A, new, p)
-            t = a_p % ell
-            row[new] = ~good | (t == ta) | (t == (-ta) % ell)
+            row[new] = verdicts(A, new, p, ta)
         return row[s] == 1
 
     b_max = X**3
@@ -184,19 +203,21 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     for A in range(-X * X, X * X + 1):
         pattern = np.ones(M, dtype=bool)
         for p, ta, c_mod_p in head_classes:
-            pattern &= passes(p, ta, A, np.arange(p))[c_mod_p]
+            pattern &= passes(p, ta, A, c_mod_p)
         c = np.flatnonzero(pattern)
         first = (c + b_max) % M - b_max  # the least B >= -X^3 in each class c
         b = first[:, None] + per_class
         b = b[b <= b_max]
-        b = b[4 * A**3 + 27 * b * b != 0]
+        k = isqrt(max(-A, 0) // 3)
+        if A == -3 * k * k:
+            b = b[np.abs(b) != 2 * k**3]
         for q4, q6 in minimality:
             if A % q4 == 0:
                 b = b[b % q6 != 0]
         for p, ta in targets[head:]:
             if not len(b):
                 break
-            b = b[passes(p, ta, A, b)]
+            b = b[passes(p, ta, A, b % p)]
         matched += len(b)
     return Fraction(matched, total)
 

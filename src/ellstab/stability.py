@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .curves import CurveModel
+from .curves import CurveModel, count_curves
 from .galois_image import MEMBER, FieldSpec, t_kl_member
 from .matgroup import (
     find_tau0,
@@ -26,6 +26,11 @@ SATISFIED = "Satisfied"
 UNDETERMINED = "Undetermined"
 
 _CHECKABLE_ELLS = (5, 7, 11, 13)
+
+#: most curves of a box checked one by one: check_ds took 0.08-0.33 ms a curve
+#: at bound 1000 (samples of X = 3, 5 and 12, ell = 5 and 13), so about 8-33 s
+#: at the limit; X = 7 (67,930 curves) passes and X = 8 (132,066) does not
+MAX_STABILITY_CURVES = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,16 @@ def full_image_conditions(ell: int) -> tuple[bool, bool, bool, bool, bool]:
         find_tau0(H) is not None,
         find_tau1(H) is not None,
     )
+
+
+def check_box_curves(X: int) -> int:
+    """count_curves(X); ValueError if it exceeds MAX_STABILITY_CURVES."""
+    n = count_curves(X)
+    if n > MAX_STABILITY_CURVES:
+        raise ValueError(
+            f"the height-{X} box has {n} curves, more than the {MAX_STABILITY_CURVES} checked one by one"
+        )
+    return n
 
 
 def check_ds(c: CurveModel, K: FieldSpec, ell: int, bound: int) -> StabilityReport:

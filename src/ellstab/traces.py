@@ -31,8 +31,9 @@ _SUM_BLOCK = 1 << 16
 _TILED_CHI_LIMIT = 1 << 22
 
 #: most (curve, good prime) cells trace_table fills.  The trace command peaks
-#: near 68 bytes a cell (44.8 MB at X = 3, 80.5 MB at X = 4 and 172 MB at
-#: X = 5, bound 1000: 0.17M, 0.70M and 2.1M cells), so about 1 GB at the limit
+#: near 35 bytes a cell (43.7 MB at X = 3, 59.9 MB at X = 4 and 109.4 MB at
+#: X = 5, bound 1000: 0.17M, 0.70M and 2.1M cells), so about 0.55 GB at the
+#: limit, where the arrays kept need 29: int32 a_p, bool good, a 24-byte record
 MAX_TRACE_CELLS = 15_000_000
 
 
@@ -76,8 +77,9 @@ def trace_table(A, B, bound: int, ell: int) -> np.ndarray:
     A and B are integers or 1-D integer arrays (broadcast together); one
     curve_traces call per prime fills an (n_curves, n_primes) table, and
     the records are its good entries in row-major order: (A, B, p) order
-    when the curves are, as curve_box's are.  More than MAX_TRACE_CELLS
-    cells are refused before the first trace.
+    when the curves are, as curve_box's are.  They are filled field by field
+    from per-curve counts and boolean gathers, with no index pair per cell.
+    More than MAX_TRACE_CELLS cells are refused before the first trace.
     """
     A, B = np.broadcast_arrays(
         np.atleast_1d(np.asarray(A, dtype=np.int64)), np.atleast_1d(np.asarray(B, dtype=np.int64))
@@ -88,9 +90,12 @@ def trace_table(A, B, bound: int, ell: int) -> np.ndarray:
     good = np.empty(a.shape, dtype=bool)
     for j, p in enumerate(ps.tolist()):
         a[:, j], good[:, j] = curve_traces(A, B, p)
-    i, j = np.nonzero(good)
-    out = np.empty(i.size, dtype=RECORD)
-    out["A"], out["B"], out["p"], out["a_p"] = A[i], B[i], ps[j], a[i, j]
+    per_curve = good.sum(axis=1)
+    out = np.empty(int(per_curve.sum()), dtype=RECORD)
+    out["A"] = np.repeat(A, per_curve)  # one field at a time: one temporary
+    out["B"] = np.repeat(B, per_curve)
+    out["p"] = np.broadcast_to(ps, good.shape)[good]  # row-major, as the records
+    out["a_p"] = a[good]
     return out
 
 

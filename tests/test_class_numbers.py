@@ -66,6 +66,16 @@ def test_table_prefix_consistency(m):
     assert hurwitz_six_table(m).tolist() == big[: m + 1].tolist()
 
 
+@pytest.mark.parametrize("n_max", [5, 13, 47, 187])
+def test_table_matches_scalar_hurwitz_where_a_c_range_is_empty(n_max):
+    # at 13 and 187 some reduced pair has 4a^2 - b^2 > n_max >= 3a^2, so no c:
+    # (2, 0) and (2, 1) at 13, (7, 0), (7, 1) and (7, 2) at 187; 5 and 47 have none
+    table = hurwitz_six_table(n_max)
+    assert table.tolist() == [0] + [
+        hurwitz(n).six_h if n % 4 in (0, 3) else 0 for n in range(1, n_max + 1)
+    ]
+
+
 def sweep_by_scalar_hurwitz(ell, p_max):
     rows = []
     for p in primes_up_to(p_max):
@@ -88,6 +98,15 @@ def sweep_by_scalar_hurwitz(ell, p_max):
 def test_sweep_matches_scalar_hurwitz(ell):
     # covers primes p < ell; binning by -a mod ell would pass too: H(4p - a^2) is even in a
     assert partial_sum_sweep(ell, 400) == sweep_by_scalar_hurwitz(ell, 400)
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_sweep_rows_equal_the_fraction_rows_at_2000(ell):
+    # the sweep builds S, main and err from integers; the oracle subtracts
+    # Fractions, so each err float must agree bit for bit
+    rows, expected = partial_sum_sweep(ell, 2000), sweep_by_scalar_hurwitz(ell, 2000)
+    assert [row[:5] for row in rows] == [row[:5] for row in expected]
+    assert [row[5].hex() for row in rows] == [row[5].hex() for row in expected]
 
 
 def test_deuring_examples():

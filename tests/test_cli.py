@@ -391,6 +391,10 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                      "ValueError: height bound X must be <= 817, got 818", id="decay-X-818"),
         pytest.param(("trace", "--X", "10", "--ell", "5", "--prime-bound", "1000"), TRACE_CELLS,
                      id="trace-X-10-bound-1000"),
+        pytest.param(("stability", "--X", "12", "--ell", "13", "--prime-bound", "1000",
+                      "--degree", "2"),
+                     "ValueError: the height-12 box has 998004 curves, more than the 100000"
+                     " checked one by one", id="stability-X-12"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):

@@ -255,23 +255,28 @@ def test_proxy_ratio_matches_member_scan(bound, monkeypatch):
 )
 def test_proxy_ratio_traces_each_residue_pair_once(a, X, ell, bound, monkeypatch):
     # a curve passes at p by (A mod p, B mod p) alone, so a pair traced for
-    # one row is read back in a later row with the same A mod p, not traced
-    traced = []  # the (p, A mod p, B mod p) of each curve_traces call
+    # one row is read back in a later row with the same A mod p, not traced;
+    # a verdict table traces all pairs of its prime in one broadcast call,
+    # and with no tables (table prime 0) every prime takes the lazy rows
     curve_traces = sieve_stats.curve_traces
-
-    def spy(A, B, p):
-        traced.append({(p, A % p, b) for b in (np.asarray(B) % p).tolist()})
-        return curve_traces(A, B, p)
-
-    monkeypatch.setattr(sieve_stats, "curve_traces", spy)
     curves = list(enumerate_curves(X))
     expected = sum(1 for e in curves if t_A_proxy_member(e, a, ell, bound))
-    assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
-    assert traced
-    seen = set()
-    for pairs in traced:
-        assert not pairs & seen
-        seen |= pairs
+    for table_prime in (sieve_stats._VERDICT_TABLE_PRIME, 0):
+        traced = []  # the (p, A mod p, B mod p) of each curve_traces call
+
+        def spy(A, B, p):
+            r, s = np.broadcast_arrays(np.asarray(A) % p, np.asarray(B) % p)
+            traced.append(set(zip([p] * r.size, r.ravel().tolist(), s.ravel().tolist())))
+            return curve_traces(A, B, p)
+
+        monkeypatch.setattr(sieve_stats, "curve_traces", spy)
+        monkeypatch.setattr(sieve_stats, "_VERDICT_TABLE_PRIME", table_prime)
+        assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
+        assert traced
+        seen = set()
+        for pairs in traced:
+            assert not pairs & seen
+            seen |= pairs
 
 
 @lru_cache(maxsize=None)
@@ -290,6 +295,22 @@ def test_proxy_ratio_equals_the_member_scan(X, a, ell, bound):
     # part of C(5) inside the height-X box
     members = [(A, B) for A, B in member_scan(a, ell, bound) if abs(A) <= X * X and abs(B) <= X**3]
     assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(len(members), count_curves(X))
+
+
+@pytest.mark.parametrize("table_prime", [0, 12, 1000], ids=["lazy-rows", "mixed", "tables"])
+@pytest.mark.parametrize("bound", [60, 400])
+@pytest.mark.parametrize("a, ell", [(CurveModel(-1, -1), 5), (CurveModel(1, 1), 7)],
+                         ids=["a=(-1,-1)", "a=(1,1)"])
+def test_proxy_ratio_verdict_tables_and_lazy_rows_agree(a, ell, bound, table_prime, monkeypatch):
+    # below the table prime each target prime reads one bool table over all
+    # (A mod p, B mod p); at 0 every prime keeps lazy int8 rows, at 12 the
+    # head primes below 12 (7 and 11, or 5 and 11) read tables and the head
+    # prime 13 and all later ones keep rows, and at 1000 every prime does
+    monkeypatch.setattr(sieve_stats, "_VERDICT_TABLE_PRIME", table_prime)
+    for X in range(1, 6):
+        members = [(A, B) for A, B in member_scan(a, ell, bound)
+                   if abs(A) <= X * X and abs(B) <= X**3]
+        assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(len(members), count_curves(X))
 
 
 @pytest.mark.parametrize("a, ell", [(CurveModel(-1, -1), 5), (CurveModel(1, 1), 7)],

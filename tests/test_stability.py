@@ -3,8 +3,10 @@ import pytest
 from ellstab.curves import CurveModel
 from ellstab.galois_image import SURJECTIVE_PROVEN, FieldSpec, classify_image
 from ellstab.stability import (
+    MAX_STABILITY_CURVES,
     SATISFIED,
     UNDETERMINED,
+    check_box_curves,
     check_ds,
     full_image_conditions,
     s_kl_census,
@@ -39,6 +41,13 @@ def test_check_ds_field_uncertified():
 def test_check_ds_rejects_large_ell():
     with pytest.raises(ValueError):
         check_ds(CurveModel(1, 1), FieldSpec(2), 17, 1000)
+
+
+def test_box_curve_limit_admits_X7_and_refuses_X8():
+    # 67,930 and 132,066 curves on either side of the limit
+    assert check_box_curves(7) == 67930 <= MAX_STABILITY_CURVES
+    with pytest.raises(ValueError, match="132066 curves"):
+        check_box_curves(8)
 
 
 def test_implication_chain():
