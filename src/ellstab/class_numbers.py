@@ -6,6 +6,7 @@ x^2 + xy + y^2 counts 1/3, everything else 1.  Values are held as the
 integer 6*H(n) so all identities check exactly.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,24 +153,24 @@ def census_vs_deuring(p: int) -> list[tuple[int, int, int, bool]]:
 
 def partial_sum_sweep(
     ell: int, p_max: int
-) -> list[tuple[int, int, int, Fraction, Fraction, float]]:
+) -> Iterator[tuple[int, int, int, Fraction, Fraction, float]]:
     """Rows (p, d, t, S, main, err) for all t and all primes 5 <= p <= p_max, p != ell.
 
-    ell and p_max are checked before any table work.  Then one
-    hurwitz_six_table(4 p_max), and per prime one gather of the 2*sqrt(4p)
-    values H(4p - a^2) binned by a mod ell, which gives all ell six-sums at
-    once; delta depends on (t, p mod ell) only, so it is computed once per
-    pair that occurs.  Each row is built from integers: S = six/6 and
-    main = 2p delta as two Fractions, err by one exact int division.  Those
-    two Fractions are still the largest part of the remaining cost, beside
-    one np.add.at per prime.
+    ell and p_max are checked, and hurwitz_six_table(4 p_max) built, when the
+    sweep is called; the rows are yielded one by one, so none is kept.  Per
+    prime, one gather of the 2*sqrt(4p) values H(4p - a^2) binned by a mod
+    ell gives all ell six-sums at once; delta depends on (t, p mod ell) only,
+    so it is computed once per pair that occurs.  Each row is built from
+    integers: S = six/6 and main = 2p delta as two Fractions, err by one
+    exact int division.  Those two Fractions are still the largest part of
+    the remaining cost, beside one np.add.at per prime.
     """
     check_ell(ell)
     check_prime_bound(p_max)
     table = hurwitz_six_table(4 * p_max)
     delta = lru_cache(maxsize=None)(delta_density)  # this sweep's own cache
-    return [
+    return (
         (p, p % ell, t, *_partial_row(p, ell, six, delta(t, p % ell, ell)))
         for p in good_primes(1, p_max, ell)
         for t, six in enumerate(_six_sums(p, ell, table))
-    ]
+    )

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded
-from .primes import check_ell, check_unit, is_prime, legendre_table, unit_logs
+from .primes import check_ell, check_unit, is_prime, legendre_table, primitive_root
 
 Mat2 = tuple[int, int, int, int]
 
@@ -141,7 +141,7 @@ def sl2_generators(ell: int) -> list[Mat2]:
 
 
 def gl2_generators(ell: int) -> list[Mat2]:
-    g = unit_logs(ell).index(1)  # the least primitive root
+    g = primitive_root(ell)
     return sl2_generators(ell) + [(g, 0, 0, 1)]
 
 

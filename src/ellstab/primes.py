@@ -53,14 +53,43 @@ def legendre_table(p: int) -> np.ndarray:
     return chi
 
 
-@lru_cache(maxsize=16)
-def unit_logs(p: int) -> list[int]:
-    """log[d] for each unit d mod the prime p, to the least primitive root g (log[g] = 1).
+def primitive_root(p: int) -> int:
+    """Least primitive root g mod the prime p: g^((p-1)/q) != 1 for every prime q | p - 1."""
+    factors, n, q = [], p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
-    Units d_1, d_2, ... generate (Z/p)^x iff gcd(p - 1, log d_1, ...) = 1.
+
+def unit_group(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(power, log) int32 tables of (Z/p)^x for the prime p and its least primitive root g.
+
+    power[k] = g^k for 0 <= k < p - 1, filled by doubling; log[d] = k with
+    g^k = d for each unit d, and log[0] = 0.  Units d_1, d_2, ... generate
+    (Z/p)^x iff gcd(p - 1, log d_1, ...) = 1.
     """
-    for g in range(2, p):
-        log = {pow(g, k, p): k for k in range(p - 1)}
-        if len(log) == p - 1:
-            return [log.get(d, 0) for d in range(p)]
-    raise ValueError(f"no primitive root mod {p}")
+    g = primitive_root(p)
+    power = np.empty(p - 1, dtype=np.int64)
+    power[0] = 1
+    done = 1
+    while done < p - 1:
+        step = min(done, p - 1 - done)
+        power[done:done + step] = power[:step] * pow(g, done, p) % p
+        done += step
+    log = np.zeros(p, dtype=np.int32)
+    log[power] = np.arange(p - 1, dtype=np.int32)
+    return power.astype(np.int32), log
+
+
+@lru_cache(maxsize=16)
+def unit_logs(p: int) -> np.ndarray:
+    """The log table of unit_group(p), cached for the few moduli ell a run uses."""
+    log = unit_group(p)[1]
+    log.setflags(write=False)
+    return log

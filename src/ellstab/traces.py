@@ -1,20 +1,24 @@
 """Frobenius traces over prime fields via the quadratic-character sum.
 
-a_{r,s}(p) = -sum_x ((x^3 + rx + s)/p), so #E(F_p) = p + 1 - a.  Traces are
-computed with a cached Legendre table per prime; per-prime full (r, s)
-tables, filled from three character-sum rows by quadratic twists, back the
-Deuring census and the curve_traces batches large enough to read one.  This
-module alone decides where a batch trace comes from and how a singular
-reduction is marked.
+a_{r,s}(p) = -sum_x ((x^3 + rx + s)/p), so #E(F_p) = p + 1 - a.  A batch
+trace at p comes from one of three sources, by its size n alone (see
+curve_traces): the character sum over a cached Legendre table (p steps a
+curve); a gather from twist_rows(p), three rows r = 0, 1, g of sums over all
+s taken by FFT correlation, since every other r is a quadratic twist of r = 1
+or r = g (O(p) memory, in a cache bounded in bytes); or, for n >= p^2, the
+full p x p census table, gathered from the same rows, which also backs the
+Deuring census.  This module alone decides where a batch trace comes from
+and how a singular reduction is marked.
 """
 
+from collections import OrderedDict
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
 from .errors import SingularReduction
-from .primes import check_ell, legendre_table, primes_up_to, unit_logs
+from .primes import check_ell, legendre_table, primes_up_to, primitive_root, unit_group
 from .store import RECORD
 
 #: sentinel in per-prime trace tables for singular (r, s)
@@ -30,8 +34,21 @@ _SUM_BLOCK = 1 << 16
 #: mod p, a step that about doubles the cost of a block
 _TILED_CHI_LIMIT = 1 << 22
 
+#: least prime whose twist rows come from FFTs: below it 3p character sums
+#: cost less
+_FFT_MIN_PRIME = 64
+
+#: curves per bit of p from which a curve_traces batch reads twist_rows.
+#: Building the rows cost as much as the sums of about 60 curves at
+#: p = 500-1000, 100 at p = 2^14-2^18 and 70 at p = 2^21 (2 vCPU VM)
+_ROW_CURVES_PER_BIT = 8
+
+#: most bytes twist_rows keeps: three int16 rows are 6p bytes a prime, so all
+#: primes below 1000 take 0.46 MB and p near MAX_TRACE_PRIME alone 12.6 MB
+ROW_CACHE_BYTES = 1 << 24
+
 #: most (curve, good prime) cells trace_table fills.  The trace command peaks
-#: near 35 bytes a cell (43.7 MB at X = 3, 59.9 MB at X = 4 and 109.4 MB at
+#: near 35.5 bytes a cell (41.2 MB at X = 3, 59.9 MB at X = 4 and 110.0 MB at
 #: X = 5, bound 1000: 0.17M, 0.70M and 2.1M cells), so about 0.55 GB at the
 #: limit, where the arrays kept need 29: int32 a_p, bool good, a 24-byte record
 MAX_TRACE_CELLS = 15_000_000
@@ -124,46 +141,113 @@ def _character_sums(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, n
         if not tiled:
             v %= p
         a[i:i + rows] = -chi[v].sum(axis=1, dtype=np.int64)
-    good = (4 * r * r % p * r + 27 * s * s) % p != 0
+    good = _nonsingular(r, s, p)
     a[~good] = 0
     return a, good
+
+
+def _nonsingular(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
+    """4r^3 + 27s^2 != 0 mod p, for (broadcastable) residue arrays r, s."""
+    return (4 * r * r % p * r + 27 * s * s) % p != 0
+
+
+def _correlation_rows(p: int, g: int) -> np.ndarray:
+    """int16 rows a_{r,s}(p) over all s for r = 0, 1, g (singular s as the sum gives them).
+
+    a_{r,s} = -sum_y N_r(y) chi(y + s) with N_r(y) = #{x : x^3 + rx = y}: from
+    _FFT_MIN_PRIME on, one bincount and one real FFT correlation per row,
+    zero-padded to a power of two >= 2p so that the two halves of the linear
+    correlation add up to the cyclic one, then rounded.  Below it, or if any
+    correlation lies 1/4 or more from its integer, the rows are 3p
+    character sums.
+    """
+    x = np.arange(p, dtype=np.int64)
+    reps = np.array([0, 1, g], dtype=np.int64)
+    if p >= _FFT_MIN_PRIME:
+        x3 = x * x * x % p
+        n = 1 << (2 * p - 1).bit_length()
+        chi = np.fft.rfft(legendre_table(p), n)
+        rows = np.empty((3, p), dtype=np.int16)
+        for i, r in enumerate(reps.tolist()):
+            f = np.fft.rfft(np.bincount((x3 + r * x) % p, minlength=p), n)
+            np.conjugate(f, out=f)
+            f *= chi
+            corr = np.fft.irfft(f, n)
+            corr = corr[:p] + corr[n - p:]
+            a = np.rint(corr)
+            if np.abs(corr - a).max() >= 0.25:
+                break
+            rows[i] = -a
+        else:
+            return rows
+    a, _ = _character_sums(np.repeat(reps, p), np.tile(x, 3), p)
+    return a.astype(np.int16).reshape(3, p)
+
+
+#: twist_rows' cache by p, least recently used first
+_ROWS: OrderedDict[int, np.ndarray] = OrderedDict()
+
+
+def twist_rows(p: int) -> np.ndarray:
+    """The int16 correlation rows for r = 0, 1 and g, the least primitive root mod p.
+
+    Cached by p; past ROW_CACHE_BYTES in all, the least recently used go.
+    """
+    if p in _ROWS:
+        _ROWS.move_to_end(p)
+        return _ROWS[p]
+    rows = _ROWS[p] = _correlation_rows(p, primitive_root(p))
+    rows.setflags(write=False)
+    while sum(a.nbytes for a in _ROWS.values()) > ROW_CACHE_BYTES:
+        _ROWS.popitem(last=False)
+    return rows
+
+
+twist_rows.cache_clear = _ROWS.clear  # cleared like the package's functools caches
+
+
+def _twist_traces(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, good) for broadcastable residue arrays r, s mod p, read from twist_rows(p).
+
+    (lam^2 r, lam^3 s) is the quadratic twist of (r, s) by lam, so
+    a_{lam^2 r, lam^3 s} = chi(lam) a_{r,s}.  For r = g^k, lam = g^-(k // 2)
+    sends r to g^(k mod 2), so a_{r,s} = (-1)^(k // 2) row_{g^(k mod 2)}[lam^3 s];
+    r = 0 reads its own row at s.  The twist keeps 4r^3 + 27s^2 = 0 fixed,
+    and a = 0 where it holds.
+    """
+    power, log = unit_group(p)
+    k = log[r]
+    half = k >> 1
+    col = power[-3 * half % (p - 1)] * s
+    col %= p
+    a = twist_rows(p)[np.where(r == 0, 0, 1 + (k & 1)), col].astype(np.int64)
+    np.negative(a, out=a, where=(half & 1).astype(bool))
+    good = _nonsingular(r, s, p)
+    a[~good] = 0
+    return a, good
+
+
+def _row_threshold(p: int) -> int:
+    """Fewest curves a curve_traces batch at p has for twist_rows to pay off."""
+    return _ROW_CURVES_PER_BIT * p.bit_length()
 
 
 @lru_cache(maxsize=256)
 def trace_census_table(p: int) -> np.ndarray:
     """int16 table T[r, s] = a_{r,s}(p), with SINGULAR marking 4r^3+27s^2 = 0.
 
-    Rows 0, 1 and g (the least primitive root) are character sums, 3p sums
-    of length p.  Every other row r = g^k is a signed permutation of row
-    g^(k mod 2): (lam^2 r, lam^3 s) with lam = g^-(k // 2) is the quadratic
-    twist of (r, s) by lam, so T[r, s] = (-1)^(k // 2) T[g^(k mod 2), lam^3 s],
-    and singular pairs map to singular pairs.  That gather costs about p^2
-    beside the 3p^2 of the sums; it runs by slabs of rows holding about
-    _SUM_BLOCK entries, so the int64 temporaries stay O(max(p, _SUM_BLOCK))
-    beside the p^2 int16 table.
+    Gathered from twist_rows(p) by _twist_traces, in slabs of rows holding
+    about _SUM_BLOCK entries, so the int64 temporaries stay
+    O(max(p, _SUM_BLOCK)) beside the p^2 int16 table.
     """
     check_prime_bound(p)
-    logs = unit_logs(p)
-    g = logs.index(1)
-    s = np.arange(p, dtype=np.int64)
-    a, good = _character_sums(np.repeat(np.array([0, 1, g], dtype=np.int64), p), np.tile(s, 3), p)
-    base = np.where(good, a, SINGULAR).astype(np.int16).reshape(3, p)
-    power = np.empty(p - 1, dtype=np.int64)  # power[e] = g^e mod p
-    power[logs[1:]] = s[1:]
-    k = np.array(logs, dtype=np.int64)
-    half = k // 2
-    scale = power[-3 * half % (p - 1)]  # lam^3 for each row r = g^k
-    sign = (1 - 2 * (half % 2)).astype(np.int16)  # chi(lam)
     table = np.empty((p, p), dtype=np.int16)
+    s = np.arange(p, dtype=np.int64)
     rows = max(1, _SUM_BLOCK // p)
     for r0 in range(0, p, rows):
-        r = slice(r0, min(r0 + rows, p))
-        col = scale[r, None] * s
-        col %= p
-        v = base[1 + k[r, None] % 2, col]
-        np.multiply(v, sign[r, None], out=table[r])
-        table[r][v == SINGULAR] = SINGULAR  # a singular pair stays unsigned
-    table[0] = base[0]  # r = 0 is no power of g: its own sums
+        r = np.arange(r0, min(r0 + rows, p))[:, None]
+        a, good = _twist_traces(r, s, p)
+        table[r0:r0 + rows] = np.where(good, a, SINGULAR)
     table.setflags(write=False)
     return table
 
@@ -172,11 +256,14 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(a_p, good) of the curves y^2 = x^3 + Ax + B at 5 <= p <= MAX_TRACE_PRIME.
 
     A and B are integers or integer arrays (broadcast together, any residue);
-    a_p (int64) = 0 and good = False where the reduction is singular.  The
-    character sum costs p per curve.  The census table costs about 4p^2 once
-    but holds 2p^2 bytes in a cache of 256, so only a batch of at least p^2
-    curves reads it, and a smaller batch takes the sum.  The choice depends
-    on this call's arguments alone.
+    a_p (int64) = 0 and good = False where the reduction is singular.  Three
+    sources, chosen by this call's batch size n alone:
+
+    - n >= p^2: the census table (2p^2 bytes, in a cache of 256);
+    - n >= _row_threshold(p): a gather from twist_rows(p), three int16
+      rows that cost three FFTs of length 2p to 4p to build and stay in a
+      cache bounded by ROW_CACHE_BYTES;
+    - otherwise the character sum, p steps per curve.
     """
     check_prime_bound(p)
     r, s = np.broadcast_arrays(
@@ -187,6 +274,8 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
         a = trace_census_table(p)[r, s]
         good = a != SINGULAR
         return np.where(good, a, 0).astype(np.int64), good
+    if r.size >= _row_threshold(p):
+        return _twist_traces(r, s, p)
     a, good = _character_sums(r.ravel(), s.ravel(), p)
     return a.reshape(r.shape), good.reshape(r.shape)
 

@@ -97,14 +97,14 @@ def sweep_by_scalar_hurwitz(ell, p_max):
 @pytest.mark.parametrize("ell", [5, 7, 13, 37])
 def test_sweep_matches_scalar_hurwitz(ell):
     # covers primes p < ell; binning by -a mod ell would pass too: H(4p - a^2) is even in a
-    assert partial_sum_sweep(ell, 400) == sweep_by_scalar_hurwitz(ell, 400)
+    assert list(partial_sum_sweep(ell, 400)) == sweep_by_scalar_hurwitz(ell, 400)
 
 
 @pytest.mark.parametrize("ell", [5, 7])
 def test_sweep_rows_equal_the_fraction_rows_at_2000(ell):
     # the sweep builds S, main and err from integers; the oracle subtracts
     # Fractions, so each err float must agree bit for bit
-    rows, expected = partial_sum_sweep(ell, 2000), sweep_by_scalar_hurwitz(ell, 2000)
+    rows, expected = list(partial_sum_sweep(ell, 2000)), sweep_by_scalar_hurwitz(ell, 2000)
     assert [row[:5] for row in rows] == [row[:5] for row in expected]
     assert [row[5].hex() for row in rows] == [row[5].hex() for row in expected]
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import struct
 from math import isqrt
@@ -150,6 +151,34 @@ def test_csv_rows_cross_chunk_seams(tmp_path, monkeypatch):
     export_csv(cache, path)
     rows = [f"{A},{B},{p},{a}" for (A, B, p), a in sorted(cache.entries.items())]
     assert path.read_text().splitlines() == ["A,B,p,a_p", *rows]
+
+
+def f_string_csv(records) -> str:
+    """The CSV as one f-string per record: the oracle for write_csv."""
+    rows = zip(*(records[name].tolist() for name in RECORD.names))
+    return "A,B,p,a_p\n" + "".join(f"{A},{B},{p},{a}\n" for A, B, p, a in rows)
+
+
+def csv_case(n):
+    """n records cycling through negative, zero and extreme fields."""
+    big = 2**63 - 1
+    A = [-big, big, -1, 0, 7, -(10**12)]
+    B = [big, -big, 0, -5, 3, 10**12]
+    p = [2_097_143, 5, 7, 2_097_143, 11, 997]
+    a = [-2896, 0, -4, 2896, 1, -63]
+    i = np.arange(n)
+    out = np.empty(n, dtype=RECORD)
+    for name, column, index in zip(RECORD.names, (A, B, p, a), (i, i // 2, i // 3, 5 * i)):
+        out[name] = np.array(column)[index % 6]  # each column its own cycle
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, store._CSV_CHUNK - 1, store._CSV_CHUNK, store._CSV_CHUNK + 1])
+def test_write_csv_equals_the_f_string_rows(n):
+    records = csv_case(n)
+    out = io.StringIO()
+    store.write_csv(records, out)
+    assert out.getvalue() == f_string_csv(records)
 
 
 @settings(deadline=None, max_examples=50)

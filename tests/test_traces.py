@@ -9,7 +9,7 @@ from sympy.ntheory.elliptic_curve import EllipticCurve
 from ellstab import traces
 from ellstab.curves import count_curves, curve_box, discriminant, enumerate_curves
 from ellstab.errors import SingularReduction
-from ellstab.primes import legendre_table, primes_up_to
+from ellstab.primes import legendre_table, primes_up_to, unit_group
 from ellstab.store import RECORD
 from ellstab.traces import (
     batch_trace_census,
@@ -23,7 +23,7 @@ from ellstab.traces import (
 #: primes on both sides of 200, where sweeps' survivors stop paying for tables
 ORACLE_PRIMES = [5, 31, 197, 199, 211, 223]
 
-BRANCHES = ["table", "sum"]
+BRANCHES = ["table", "rows", "sum"]
 
 
 def points_on_curve(r, s, p):
@@ -97,29 +97,54 @@ def spy_on_census_tables(mp):
     return requested
 
 
+def spy_on(mp, name):
+    """Make traces.<name> record the primes it is asked for; returns the record."""
+    requested = []
+    fn = getattr(traces, name)
+
+    def spy(q):
+        requested.append(q)
+        return fn(q)
+
+    mp.setattr(traces, name, spy)
+    return requested
+
+
+#: batch sizes n (least, most) that each branch of curve_traces's rule takes at p
+BRANCH_SIZES = {
+    "table": lambda p: (p * p, None),
+    "rows": lambda p: (traces._row_threshold(p), p * p - 1),
+    "sum": lambda p: (1, traces._row_threshold(p) - 1),
+}
+
+
 def traces_through(branch, A, B, p):
     """curve_traces(A, B, p) through one branch of its per-call rule.
 
-    "table" traces the batch with copies of its first curve appended up to
-    p^2 curves, so the census table is read; "sum" traces slices of fewer
-    than p^2 curves, so it is not.  A spy on trace_census_table checks which
+    The batch is cut into slices of at most the branch's largest size, and
+    each slice is padded with copies of its first curve up to the branch's
+    least size: p^2 curves read the census table, at least
+    _row_threshold(p) but fewer than p^2 read twist_rows, fewer take the
+    character sum.  Spies on trace_census_table and twist_rows check which
     one ran.  The result has the broadcast shape of A and B.
     """
     A, B = np.broadcast_arrays(np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64))
     shape, A, B = A.shape, A.ravel(), B.ravel()
-    n = A.size
+    least, most = BRANCH_SIZES[branch](p)
+    step = most or A.size
+    parts = []
     with pytest.MonkeyPatch.context() as mp:
-        requested = spy_on_census_tables(mp)
-        if branch == "table":
-            fill = max(0, p * p - n)
-            a, good = curve_traces(np.append(A, np.full(fill, A[0])),
-                                   np.append(B, np.full(fill, B[0])), p)
-            a, good = a[:n], good[:n]
-        else:
-            parts = [curve_traces(A[i:i + p * p - 1], B[i:i + p * p - 1], p)
-                     for i in range(0, n, p * p - 1)]
-            a, good = (np.concatenate(x) for x in zip(*parts))
-    assert requested == ([p] if branch == "table" else [])
+        census = spy_on_census_tables(mp)
+        rows = spy_on(mp, "twist_rows")
+        for i in range(0, A.size, step):
+            a, b = A[i:i + step], B[i:i + step]
+            fill = max(0, least - a.size)
+            got = curve_traces(np.append(a, np.full(fill, a[0])), np.append(b, np.full(fill, b[0])), p)
+            parts.append([x[:a.size] for x in got])
+    a, good = (np.concatenate(x) for x in zip(*parts))
+    assert census == ([p] if branch == "table" else [])
+    if branch != "table":  # the table gathers from twist_rows once built
+        assert rows == ([p] * len(parts) if branch == "rows" else [])
     return a.reshape(shape), good.reshape(shape)
 
 
@@ -258,6 +283,102 @@ def test_census_table_never_signs_the_singular_mark(monkeypatch, sentinel):
         table = trace_census_table.__wrapped__(p)  # past the cache of true tables
         assert np.array_equal(table == sentinel, singular)
         assert np.array_equal(table, census_oracle(p))
+
+
+def assert_twist_rows_match_character_sums(r, s, p):
+    r, s = np.asarray(r, dtype=np.int64) % p, np.asarray(s, dtype=np.int64) % p
+    a, good = traces._twist_traces(r, s, p)
+    expected_a, expected_good = traces._character_sums(r, s, p)
+    assert a.dtype == np.int64 and good.dtype == bool
+    assert a.tolist() == expected_a.tolist() and good.tolist() == expected_good.tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([p for p in primes_up_to(1100) if p >= 5] + [4099, 65537]),
+    st.lists(st.tuples(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9)),
+             min_size=1, max_size=40),
+)
+def test_twist_rows_equal_the_character_sums(p, pairs):
+    # random pairs fall in both twist classes (r a square or not), with both
+    # signs of chi(lam); the fixed batches below add r = 0, 1, g and s = 0
+    r, s = np.array(pairs, dtype=np.int64).T
+    assert_twist_rows_match_character_sums(r, s, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 199, 211, 997, 65537, 2_097_143])
+def test_twist_rows_on_fixed_batches(p):
+    # powers g^k for k = 0..5 and k = -1, zeros, singular pairs, and a few
+    # random pairs; p = 2,097,143 is the largest traced prime
+    power, _ = unit_group(p)
+    g_powers = [int(power[k % (p - 1)]) for k in (0, 1, 2, 3, 4, 5, -1)]
+    rng = np.random.default_rng(p)
+    r = g_powers * 2 + [0, 0, 0, -3, -12] + rng.integers(0, p, 8).tolist()
+    s = [0] * 7 + rng.integers(0, p, 7).tolist() + [0, 1, p - 1, 2, 16] + rng.integers(0, p, 8).tolist()
+    assert_twist_rows_match_character_sums(r, s, p)
+
+
+def test_twist_rows_fall_back_to_sums_when_the_fft_rounding_fails(monkeypatch):
+    # each correlation adds two FFT outputs: 0.3 on each puts every sum 0.6
+    # above its integer, where rounding alone would be off by one
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    for p in (67, 211):
+        g = int(unit_group(p)[0][1])
+        rows = traces._correlation_rows(p, g)
+        s = np.arange(p)
+        for i, r in enumerate((0, 1, g)):
+            a, good = traces._character_sums(np.full(p, r), s, p)
+            assert rows[i][good].tolist() == a[good].tolist()
+
+
+def test_rows_are_built_only_for_batches_at_the_threshold_at_the_top_prime(monkeypatch):
+    # p = 2,097,143 with stand-ins for both sources: a batch one below the
+    # threshold never asks for rows, a batch at it never takes the sum
+    p = 2_097_143
+    n = traces._row_threshold(p)
+    assert n < 200
+    cached = traces.twist_rows
+    built, summed = spy_on(monkeypatch, "twist_rows"), []
+
+    def sums(r, s, q):
+        summed.append(r.size)
+        return np.zeros(r.size, dtype=np.int64), np.ones(r.size, dtype=bool)
+
+    monkeypatch.setattr(traces, "_character_sums", sums)
+    monkeypatch.setattr(traces, "_correlation_rows", lambda q, g: np.zeros((3, q), dtype=np.int16))
+    try:
+        curve_traces(np.arange(n - 1), 1, p)
+        assert summed == [n - 1] and built == []
+        curve_traces(np.arange(n), 1, p)
+        assert summed == [n - 1] and built == [p]
+    finally:
+        cached.cache_clear()  # drop the stand-in rows
+
+
+def test_row_cache_stays_under_its_byte_bound_after_a_sweep_and_a_trace_table():
+    from ellstab.galois_image import surjectivity_sweep
+
+    traces.twist_rows.cache_clear()
+    surjectivity_sweep(8, 17, 1000)
+    trace_table(*curve_box(3), 1000, 5)
+    held = sum(rows.nbytes for rows in traces._ROWS.values())
+    assert 0 < held <= traces.ROW_CACHE_BYTES
+    # three int16 rows a prime
+    assert held <= 6 * sum(p for p in primes_up_to(1000))
+
+
+def test_row_cache_drops_the_least_recently_used_past_its_bound(monkeypatch):
+    # stand-in rows of 6p bytes, under a bound that holds 11 and 17 but not 13 too
+    monkeypatch.setattr(traces, "ROW_CACHE_BYTES", 6 * (11 + 17))
+    monkeypatch.setattr(traces, "_correlation_rows", lambda p, g: np.zeros((3, p), dtype=np.int16))
+    traces.twist_rows.cache_clear()
+    try:
+        for p in (11, 13, 11, 17):  # 17 drops 13, the least recently used
+            traces.twist_rows(p)
+        assert list(traces._ROWS) == [11, 17]
+    finally:
+        traces.twist_rows.cache_clear()  # drop the stand-in rows
 
 
 @settings(deadline=None, max_examples=20)
