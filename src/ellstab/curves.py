@@ -159,6 +159,12 @@ def count_curves(X: int) -> int:
     return total - 2 * _squarefree_count(isqrt(X * X // 3))
 
 
+def check_indexable(X: int, n: int) -> None:
+    """Raise ValueError unless the n = count_curves(X) curves of the box index in int64."""
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"the height-{X} box is too large to index in int64")
+
+
 def _row_counts(X: int) -> np.ndarray:
     """N(A) = #{B : (A, B) in C(X)} for A = -X^2, ..., X^2."""
     a_bound, b_bound = X * X, X**3
@@ -179,9 +185,7 @@ def unrank(X: int, idx) -> tuple[np.ndarray, np.ndarray]:
     row excludes, which is zero in most rows; a binary search on the
     closed-form count of valid B <= y finds it in the others.
     """
-    _check_height(X)
-    if count_curves(X) > np.iinfo(np.int64).max:
-        raise ValueError(f"the height-{X} box is too large to index in int64")
+    check_indexable(X, count_curves(X))
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     counts = _row_counts(X)
     ends = np.cumsum(counts)

@@ -260,38 +260,27 @@ def h1_vanishes(G: MatGroup, method: str = "auto") -> bool:
 
 
 def no_abelian_ell_quotient(H: MatGroup) -> bool:
-    """True iff ell does not divide |H / [H, H]|."""
+    """True iff ell does not divide |H / [H, H]|.
+
+    [H, H] is the closure of 1 under x -> x c for the generator commutators c
+    and x -> g x g^-1 for the generators g: the normal closure, since the
+    inverses of c and g are powers of them.
+    """
     ell = H.ell
-    gens = H.generators
-    if not gens:
-        return True
-    comms = []
-    for g in gens:
-        for h in gens:
-            ginv, hinv = mat_inv(g, ell), mat_inv(h, ell)
-            comms.append(
-                mat_mul(mat_mul(g, h, ell), mat_mul(ginv, hinv, ell), ell)
-            )
-    # normal closure of the generator commutators inside H
-    derived = set(generate_subgroup(comms, ell, budget=H.order + 1).elements)
-    changed = True
-    while changed:
-        changed = False
-        extra = []
-        for n in derived:
-            for g in gens:
-                conj = mat_mul(mat_mul(g, n, ell), mat_inv(g, ell), ell)
-                if conj not in derived:
-                    extra.append(conj)
-        if extra:
-            changed = True
-            derived = set(
-                generate_subgroup(
-                    list(derived | set(extra)), ell, budget=H.order + 1
-                ).elements
-            )
-    quotient = H.order // len(derived)
-    return quotient % ell != 0
+    pairs = [(g, mat_inv(g, ell)) for g in H.generators]
+    comms = [mat_mul(mat_mul(g, h, ell), mat_mul(gi, hi, ell), ell)
+             for g, gi in pairs for h, hi in pairs]
+    derived, frontier = {identity()}, [identity()]
+    while frontier:
+        frontier = {
+            y
+            for x in frontier
+            for y in [mat_mul(x, c, ell) for c in comms]
+            + [mat_mul(mat_mul(g, x, ell), gi, ell) for g, gi in pairs]
+            if y not in derived
+        }
+        derived |= frontier
+    return H.order // len(derived) % ell != 0
 
 
 def find_tau0(H: MatGroup) -> Mat2 | None:

@@ -15,7 +15,7 @@ from math import isqrt
 
 import numpy as np
 
-from .curves import CurveModel, count_curves, curve_box, discriminant, unrank
+from .curves import CurveModel, check_indexable, count_curves, curve_box, discriminant, unrank
 from .matgroup import delta_density
 from .primes import check_ell, check_unit, primes_up_to
 from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
@@ -115,6 +115,7 @@ def variance_stat(
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     n = count_curves(X)
+    check_indexable(X, n)  # before any draw, which needs n in int64
     pi = pi_count(X, d, ell)
     mean = delta * pi
 

@@ -6,13 +6,12 @@ curve_traces): the character sum over a cached Legendre table (p steps a
 curve); a gather from twist_rows(p), three rows r = 0, 1, g of sums over all
 s taken by FFT correlation, since every other r is a quadratic twist of r = 1
 or r = g (O(p) memory, in a cache bounded in bytes); or, for n >= p^2, the
-full p x p census table, gathered from the same rows, which also backs the
-Deuring census.  This module alone decides where a batch trace comes from
-and how a singular reduction is marked.
+p x p census table, gathered from the same rows for that batch alone.  The
+Deuring census counts the rows.  This module alone decides where a batch
+trace comes from and how a singular reduction is marked.
 """
 
 from collections import OrderedDict
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -232,13 +231,12 @@ def _row_threshold(p: int) -> int:
     return _ROW_CURVES_PER_BIT * p.bit_length()
 
 
-@lru_cache(maxsize=256)
 def trace_census_table(p: int) -> np.ndarray:
     """int16 table T[r, s] = a_{r,s}(p), with SINGULAR marking 4r^3+27s^2 = 0.
 
-    Gathered from twist_rows(p) by _twist_traces, in slabs of rows holding
-    about _SUM_BLOCK entries, so the int64 temporaries stay
-    O(max(p, _SUM_BLOCK)) beside the p^2 int16 table.
+    Built afresh at each call and kept nowhere: gathered from twist_rows(p)
+    by _twist_traces in slabs of rows holding about _SUM_BLOCK entries, so
+    the int64 temporaries stay O(max(p, _SUM_BLOCK)) beside the int16 table.
     """
     check_prime_bound(p)
     table = np.empty((p, p), dtype=np.int16)
@@ -259,7 +257,7 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
     a_p (int64) = 0 and good = False where the reduction is singular.  Three
     sources, chosen by this call's batch size n alone:
 
-    - n >= p^2: the census table (2p^2 bytes, in a cache of 256);
+    - n >= p^2: the census table, 2p^2 bytes built for this batch alone;
     - n >= _row_threshold(p): a gather from twist_rows(p), three int16
       rows that cost three FFTs of length 2p to 4p to build and stay in a
       cache bounded by ROW_CACHE_BYTES;
@@ -281,9 +279,18 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_trace_census(p: int) -> dict[int, int]:
-    """Counts {a: #{(r, s) nonsingular with a_{r,s}(p) = a}}; totals p^2 - p."""
-    table = trace_census_table(p)
-    vals = table[table != SINGULAR].astype(np.int64)
+    """Counts {a: #{(r, s) nonsingular with a_{r,s}(p) = a}}; totals p^2 - p.
+
+    From twist_rows(p) in O(p) memory: row 0 over s != 0, and rows 1 and g
+    over their nonsingular s, once for each twist r = g^k that _twist_traces
+    reads from them: ceil((p - 1) / 4) times as a, floor((p - 1) / 4) as -a.
+    """
+    check_prime_bound(p)
     bound = isqrt(4 * p)
-    counts = np.bincount(vals + bound, minlength=2 * bound + 1)
+    rows = twist_rows(p).astype(np.int64) + bound  # |a| <= bound: a + bound indexes counts
+    s = np.arange(p, dtype=np.int64)
+    counts = np.bincount(rows[0, 1:], minlength=2 * bound + 1)
+    for r, row in zip((1, primitive_root(p)), rows[1:]):
+        h = np.bincount(row[_nonsingular(r, s, p)], minlength=2 * bound + 1)
+        counts += (p + 2) // 4 * h + (p - 1) // 4 * h[::-1]  # h[::-1] counts -a
     return {int(a - bound): int(n) for a, n in enumerate(counts) if n > 0}

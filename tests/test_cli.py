@@ -2,15 +2,21 @@ import contextlib
 import hashlib
 import json
 import os
+import resource
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import ellstab
 from ellstab import class_numbers, cli, sieve_stats, traces
 from ellstab.cli import main
 from ellstab.curves import discriminant, enumerate_curves
+from ellstab.primes import primes_up_to
 from ellstab.store import RECORD, load
 from ellstab.traces import frobenius_trace, good_primes
 
@@ -395,6 +401,10 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                       "--degree", "2"),
                      "ValueError: the height-12 box has 998004 curves, more than the 100000"
                      " checked one by one", id="stability-X-12"),
+        pytest.param(("sieve", "--X-list", "100000", "--ell", "5", "--t1", "1", "--t2", "2",
+                      "--d", "1", "--samples", "10", "--seed", "1"),
+                     "ValueError: the height-100000 box is too large to index in int64",
+                     id="sieve-X-100000"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):
@@ -429,3 +439,21 @@ def test_decay_refuses_a_height_past_int64_before_any_trace(capsys, monkeypatch)
     assert out == ""
     assert err == "ValueError: height bound X must be <= 817, got 818\n"
     assert calls == []
+
+
+def test_census_at_bound_2500_runs_in_1_gb_of_address_space():
+    # the census counts three O(p) rows a prime; p x p tables kept between
+    # primes once ran out of memory here
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ellstab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellstab.cli", "census", "--prime-bound", "2500"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "p,a,census,deuring,match"
+    assert {int(row.split(",")[0]) for row in rows} == set(primes_up_to(2500)[2:])
+    assert all(row.endswith(",1") for row in rows)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from ellstab.errors import BudgetExceeded
 from ellstab.matgroup import (
@@ -96,6 +97,32 @@ def test_no_abelian_ell_quotient():
     assert no_abelian_ell_quotient(full_sl2(5)) is True
     assert no_abelian_ell_quotient(generate_subgroup([(1, 1, 0, 1)], 5)) is False
     assert no_abelian_ell_quotient(generate_subgroup([(4, 0, 0, 4)], 5)) is True
+
+
+def on_the_plane(g, ell):
+    """g acting on F_ell^2, the vector (x, y) as the point x*ell + y."""
+    a, b, c, d = g
+    return Permutation([(a * x + b * y) % ell * ell + (c * x + d * y) % ell
+                        for x in range(ell) for y in range(ell)])
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11])
+def test_no_abelian_ell_quotient_matches_sympys_derived_subgroup(ell):
+    # random subgroups, every second one upper triangular so that some have
+    # an abelian ell-quotient; sympy computes [H, H] of the faithful action
+    rng = random.Random(ell)
+    for i in range(16):
+        gens, k = [], rng.randint(1, 3)
+        while len(gens) < k:
+            a, b, c, d = (rng.randrange(ell) for _ in range(4))
+            g = (a, b, c * (i % 2), d)
+            if mat_det(g, ell):
+                gens.append(g)
+        H = generate_subgroup(gens, ell)
+        P = PermutationGroup([on_the_plane(g, ell) for g in gens])
+        assert P.order() == H.order
+        quotient = H.order // P.derived_subgroup().order()
+        assert no_abelian_ell_quotient(H) == (quotient % ell != 0), gens
 
 
 def test_tau_witnesses():

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -280,7 +281,7 @@ def test_census_table_never_signs_the_singular_mark(monkeypatch, sentinel):
     for p in (5, 7, 13, 31, 101):
         r, s = np.divmod(np.arange(p * p), p)
         singular = ((4 * r**3 + 27 * s * s) % p == 0).reshape(p, p)
-        table = trace_census_table.__wrapped__(p)  # past the cache of true tables
+        table = trace_census_table(p)
         assert np.array_equal(table == sentinel, singular)
         assert np.array_equal(table, census_oracle(p))
 
@@ -473,3 +474,32 @@ def test_census_small_brute_force():
             census[a] = census.get(a, 0) + 1
     assert batch_trace_census(5) == census
     assert census[1] == 2
+
+
+def table_census(p):
+    """Counts of the non-SINGULAR entries of the p x p census table, the oracle."""
+    table = trace_census_table(p)
+    values, counts = np.unique(table[table != traces.SINGULAR], return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
+def test_census_from_the_rows_equals_the_census_table_below_1000():
+    for p in primes_up_to(1000)[2:]:
+        assert batch_trace_census(p) == table_census(p), p
+
+
+def test_census_builds_no_table_and_holds_o_p_memory(monkeypatch):
+    # the p x p table at p = 5003 alone would be 50 MB of int16
+    p = 5003
+    requested = spy_on_census_tables(monkeypatch)
+    traces.twist_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        census = batch_trace_census(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert requested == []
+    assert peak < 2 << 20
+    assert sum(census.values()) == p * p - p
+    assert trace_census_table(5) is not trace_census_table(5)  # kept nowhere
