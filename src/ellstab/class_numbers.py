@@ -6,11 +6,12 @@ x^2 + xy + y^2 counts 1/3, everything else 1.  Values are held as the
 integer 6*H(n) so all identities check exactly.
 """
 
-from collections.abc import Iterator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,21 +104,52 @@ def mass_check(p: int) -> bool:
     return total_six == 12 * p
 
 
-def _six_sums(p: int, ell: int, table: np.ndarray) -> list[int]:
-    """6*S for every residue t mod ell: table[4p - a^2] over a^2 < 4p, binned by a mod ell."""
-    bound = isqrt(4 * p - 1)
-    a = np.arange(-bound, bound + 1)
-    sums = np.zeros(ell, dtype=np.int64)
-    np.add.at(sums, a % ell, table[4 * p - a * a])
-    return sums.tolist()
+class PartialSums(NamedTuple):
+    """Rows (p, d, t, S, main, err) as columns, S and main as reduced int pairs."""
+
+    p: np.ndarray
+    d: np.ndarray
+    t: np.ndarray
+    s_num: np.ndarray
+    s_den: np.ndarray
+    main_num: np.ndarray
+    main_den: np.ndarray
+    err: np.ndarray
 
 
-def _partial_row(p: int, ell: int, six: int, delta: Fraction) -> tuple[Fraction, Fraction, float]:
-    # S - main = (six * den - 12 p num) / (6 den), and int true division rounds
-    # that exactly as float(S - main) would
-    num, den = delta.numerator, delta.denominator
-    err = abs(six * den - 12 * p * num) / (6 * den)
-    return Fraction(six, 6), Fraction(2 * p * num, den), err / (ell * p**0.5)
+def _partial_sums(ps: list[int], ell: int, table: np.ndarray) -> PartialSums:
+    """The rows of every t mod ell for the increasing primes ps, table = 6H up to 4 max(ps).
+
+    six[i, t] sums table[4p - a^2] over a^2 < 4p, a = t mod ell: one strided
+    add per |a| over the primes p > a^2 / 4.  err = |six den - 12 p num| /
+    (6 den) is one int64 true division, exact floats on both sides while
+    12 p ell^2 < 2^53 (ell < 19,000), so it rounds as float(S - main) would.
+    """
+    p = np.array(ps, dtype=np.int32)
+    six = np.zeros((len(ps), ell), dtype=np.int32)  # six <= 12p < 2^31
+    for a in range(isqrt(4 * int(p[-1]) - 1) + 1 if ps else 0):
+        first = bisect_right(ps, a * a // 4)  # 4p > a^2
+        h = table[4 * p[first:] - a * a]
+        six[first:, a % ell] += h
+        if a:
+            six[first:, -a % ell] += h
+    d = p % ell
+    deltas = [delta_density(t, dd, ell) for dd in range(1, ell) for t in range(ell)]
+    num = np.array([x.numerator for x in deltas], dtype=np.int64).reshape(-1, ell)[d - 1]
+    den = np.array([x.denominator for x in deltas], dtype=np.int64).reshape(-1, ell)[d - 1]
+    err = np.abs(six * den - 12 * p[:, None] * num) / (6 * den)
+    err /= ell * np.array([q**0.5 for q in ps])[:, None]
+    num *= 2 * p[:, None]  # main = 2p num / den, reduced in place
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+    s_den = np.gcd(six, 6)
+    six //= s_den
+    np.floor_divide(6, s_den, out=s_den)
+    return PartialSums(
+        np.repeat(p, ell), np.repeat(d, ell), np.tile(np.arange(ell, dtype=np.int32), len(ps)),
+        six.ravel(), s_den.ravel(), num.ravel(), den.ravel(), err.ravel(),
+    )
 
 
 def hurwitz_partial_sum(p: int, t: int, ell: int) -> tuple[Fraction, Fraction, float]:
@@ -133,44 +165,33 @@ def hurwitz_partial_sum(p: int, t: int, ell: int) -> tuple[Fraction, Fraction, f
         raise ValueError(f"p must be prime, got {p}")
     if p == ell:
         raise ValueError(f"need p != ell, got p = ell = {p}")
-    six = _six_sums(p, ell, hurwitz_six_table(4 * p))[t % ell]
-    return _partial_row(p, ell, six, delta_density(t, p % ell, ell))
+    cols, i = _partial_sums([p], ell, hurwitz_six_table(4 * p)), t % ell
+    return (Fraction(int(cols.s_num[i]), int(cols.s_den[i])),
+            Fraction(int(cols.main_num[i]), int(cols.main_den[i])), float(cols.err[i]))
 
 
-def census_vs_deuring(p: int) -> list[tuple[int, int, int, bool]]:
-    """Rows (a, census_count, deuring_count, match) for all |a| <= floor(2*sqrt(p))."""
+def census_vs_deuring(p: int, six_table: np.ndarray) -> list[tuple[int, int, int, bool]]:
+    """Rows (a, census_count, deuring_count, match) for all |a| <= floor(2*sqrt(p)).
+
+    deuring_count = ((p-1)/2) H(4p - a^2), read from six_table = hurwitz_six_table(n >= 4p).
+    """
     from .traces import batch_trace_census
 
     census = batch_trace_census(p)
     bound = isqrt(4 * p - 1)
-    rows = []
-    for a in range(-bound, bound + 1):
-        expected = deuring_count(p, a)
-        got = census.get(a, 0)
-        rows.append((a, got, expected, got == expected))
-    return rows
+    a = np.arange(-bound, bound + 1)
+    expected = (p - 1) * six_table[4 * p - a * a] // 12
+    return [(a, census.get(a, 0), e, census.get(a, 0) == e)
+            for a, e in zip(a.tolist(), expected.tolist())]
 
 
-def partial_sum_sweep(
-    ell: int, p_max: int
-) -> Iterator[tuple[int, int, int, Fraction, Fraction, float]]:
+def partial_sum_sweep(ell: int, p_max: int) -> PartialSums:
     """Rows (p, d, t, S, main, err) for all t and all primes 5 <= p <= p_max, p != ell.
 
-    ell and p_max are checked, and hurwitz_six_table(4 p_max) built, when the
-    sweep is called; the rows are yielded one by one, so none is kept.  Per
-    prime, one gather of the 2*sqrt(4p) values H(4p - a^2) binned by a mod
-    ell gives all ell six-sums at once; delta depends on (t, p mod ell) only,
-    so it is computed once per pair that occurs.  Each row is built from
-    integers: S = six/6 and main = 2p delta as two Fractions, err by one
-    exact int division.  Those two Fractions are still the largest part of
-    the remaining cost, beside one np.add.at per prime.
+    Array work over one hurwitz_six_table(4 p_max), 32 bytes per unit of
+    p_max; the rows come back as PartialSums columns in (p, t) order, 44
+    bytes a row (p, d, t and S as int32, main as int64).
     """
     check_ell(ell)
     check_prime_bound(p_max)
-    table = hurwitz_six_table(4 * p_max)
-    delta = lru_cache(maxsize=None)(delta_density)  # this sweep's own cache
-    return (
-        (p, p % ell, t, *_partial_row(p, ell, six, delta(t, p % ell, ell)))
-        for p in good_primes(1, p_max, ell)
-        for t, six in enumerate(_six_sums(p, ell, table))
-    )
+    return _partial_sums(good_primes(1, p_max, ell), ell, hurwitz_six_table(4 * p_max))

@@ -9,7 +9,7 @@ unranks a position in lexicographic order without building the box.
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -177,48 +177,67 @@ def _row_counts(X: int) -> np.ndarray:
     return counts
 
 
-def unrank(X: int, idx) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the curves at positions idx of curve_box(X), without building it.
+def unranker(X: int) -> Callable[[object], tuple[np.ndarray, np.ndarray]]:
+    """unrank for one X: builds the O(X^2) row tables once, returns idx -> (A, B).
 
-    The row comes from the prefix sums of the row counts.  Inside a row the
-    rank-th valid B lies between rank - X^3 and that plus the number of B the
-    row excludes, which is zero in most rows; a binary search on the
-    closed-form count of valid B <= y finds it in the others.
+    Both coordinates are least fixed points of monotone maps, iterated from
+    below.  The row: r <- (idx + D(r)) // (2X^3 + 1) from idx // (2X^3 + 1),
+    D(r) the B excluded in rows <= r (written relative to ends[r]).  B in a
+    row that excludes some: y <- lo + E(y) from lo = rank - X^3, E(y) the
+    excluded B in [-X^3, y] by the box model's closed-form counts.  Up to
+    X = 3000 a row moves at most 3 times and B takes at most 7 steps.
     """
-    check_indexable(X, count_curves(X))
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    n = count_curves(X)
+    check_indexable(X, n)
     counts = _row_counts(X)
     ends = np.cumsum(counts)
-    if idx.size and (idx.min() < 0 or idx.max() >= ends[-1]):
-        raise ValueError(f"curve index out of range [0, {int(ends[-1])})")
-    row = np.searchsorted(ends, idx, side="right")
-    rank = idx - (ends[row] - counts[row])
-    b_bound = X**3
-    B = rank - b_bound  # exact in a row that excludes no B
-    excluded = 2 * b_bound + 1 - counts[row]
-
-    search = np.flatnonzero(excluded > 0)
-    A = row[search] - X * X
-    lo, rank = B[search], rank[search]
-    hi = lo + excluded[search]
+    a_bound, b_bound = X * X, X**3
+    width = 2 * b_bound + 1
     d, mu = _sieve_terms(X)
-    d6 = d**6
-    weight = np.where(A[:, None] % d**4 == 0, mu, 0)
-    zero_weight = np.where(A == 0, mu.sum(), 0)  # B = 0 at A = 0 is never a curve
+    zero_weight = int(mu.sum())  # the sum counts B = 0 at A = 0, never a curve
+    d, mu = d[1:], mu[1:]  # d = 1 excludes nothing
+    d4, d6 = d**4, d**6
+    below = (-b_bound - 1) // d6
     m_of_row = np.zeros(len(counts), dtype=np.int64)
     m_sing = _singular_m(X)
-    m_of_row[X * X - 3 * m_sing**2] = m_sing
-    m = m_of_row[row[search]]
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        below = (weight * (mid[:, None] // d6 - (-b_bound - 1) // d6)).sum(axis=1)
-        below -= zero_weight * (mid >= 0)
-        below -= np.where(m > 0, (mid >= -2 * m**3).astype(np.int64) + (mid >= 2 * m**3), 0)
-        enough = below > rank
-        hi = np.where(enough, mid, hi)
-        lo = np.where(enough, lo, mid + 1)
-    B[search] = lo
-    return row - X * X, B
+    m_of_row[a_bound - 3 * m_sing**2] = m_sing
+
+    def unrank_at(idx) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"curve index out of range [0, {n})")
+        row = idx // width
+        behind = np.flatnonzero(idx >= ends[row])  # the indices whose row is still too low
+        while behind.size:
+            r = row[behind] + 1 + (idx[behind] - ends[row[behind]]) // width
+            row[behind] = r
+            behind = behind[idx[behind] >= ends[r]]
+        B = idx - (ends[row] - counts[row]) - b_bound  # exact in a row that excludes no B
+        search = np.flatnonzero(counts[row] < width)
+        A = row[search] - a_bound
+        lo = B[search]
+        weight = np.where(A[:, None] % d4 == 0, mu, 0)
+        zero = np.where(A == 0, zero_weight, 0)
+        m = m_of_row[row[search]]
+        sing = m > 0
+
+        def excluded(y: np.ndarray) -> np.ndarray:
+            e = zero * (y >= 0) - (weight * (y[:, None] // d6 - below)).sum(axis=1)
+            e[sing] += (y[sing] >= -2 * m[sing] ** 3).astype(np.int64) + (y[sing] >= 2 * m[sing] ** 3)
+            return e
+
+        y, nxt = lo, lo + excluded(lo)
+        while (nxt != y).any():
+            y, nxt = nxt, lo + excluded(nxt)
+        B[search] = y
+        return row - a_bound, B
+
+    return unrank_at
+
+
+def unrank(X: int, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of the curves at positions idx of curve_box(X), without building it: unranker(X)(idx)."""
+    return unranker(X)(idx)
 
 
 def reduce_mod_p(c: CurveModel, p: int) -> tuple[int, int]:

@@ -2,20 +2,20 @@
 
 The variance statistic averages (pi_pair - delta * pi)^2 over index pairs
 into the box, every pair when they are few and seeded draws otherwise, via
-integer moment sums, so V is always an exact rational.  The sampled pairs
-are unranked from their indices, so that path never builds the box.  The
-density decay does not build it either: a CRT pattern of the first primes'
-residues generates only the B that pass them, row by row.
+integer moment sums, so V is always an exact rational.  The pairs are walked
+in fixed blocks, and the sampled ones are unranked from their indices block
+by block, so that path never builds the box and holds 16 bytes a draw plus
+one block.  The density decay does not build it either: a CRT pattern of
+the first primes' residues generates only the B that pass them, row by row.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import isqrt
 
 import numpy as np
 
-from .curves import CurveModel, check_indexable, count_curves, curve_box, discriminant, unrank
+from .curves import CurveModel, check_indexable, count_curves, curve_box, discriminant, unranker
 from .matgroup import delta_density
 from .primes import check_ell, check_unit, primes_up_to
 from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
@@ -23,6 +23,12 @@ from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wra
 
 #: above this many pairs the exhaustive pair set gives way to sampling
 _EXHAUSTIVE_PAIR_LIMIT = 10**6
+
+#: pairs per block of variance_stat: its temporaries are a few int64 and
+#: bool columns of this length, beside the 16 bytes a pair of the draws.
+#: Cold sieve --X-list 20,24 --samples 200000 peaked at 40.0-40.4 MB with
+#: 2^14, 41.2-41.3 MB with 2^15 and 43.5-43.6 MB with 2^16, and 2^14 was no slower
+_PAIR_BLOCK = 1 << 14
 
 #: largest period M of t_A_proxy_ratio's residue pattern: a row's pattern
 #: costs M, and decay's M = 7 * 11 * 13 = 1001 (a = (-1, -1), ell = 5)
@@ -107,8 +113,10 @@ def variance_stat(
     """Mean of (pi_pair - delta*pi)^2 over C(X)^2, exact or Monte Carlo.
 
     Over index pairs (i1, i2): all n^2 of curve_box while n^2 <= _EXHAUSTIVE_PAIR_LIMIT,
-    else sample_size seeded draws (all of i1, then i2), each side unranked alone.
-    A pair's pi_pair is k = sum_p x_p(E1) y_p(E2); V expands in sum(k) and sum(k^2).
+    else sample_size seeded draws (all of i1, then i2), 16 bytes a pair.  The
+    pairs are walked in blocks of _PAIR_BLOCK: each side of a block is unranked
+    (through one unranker(X)) and traced alone.  A pair's pi_pair is
+    k = sum_p x_p(E1) y_p(E2); V expands in sum(k) and sum(k^2), kept as ints.
     """
     check_ell(ell)
     delta = pair_delta(t1, t2, d, ell)  # rejects d = 0 mod ell
@@ -122,21 +130,25 @@ def variance_stat(
     exhaustive = n * n <= _EXHAUSTIVE_PAIR_LIMIT
     if exhaustive:
         A, B = curve_box(X)
-        i1, i2 = np.divmod(np.arange(n * n), n)
+        num_pairs = n * n
+        block = lambda lo, hi: np.divmod(np.arange(lo, hi), n)  # noqa: E731
         side = lambda i: (A[i], B[i])  # noqa: E731
     else:
+        side = unranker(X)
         rng = np.random.default_rng(seed)
         i1 = rng.integers(0, n, size=sample_size)
         i2 = rng.integers(0, n, size=sample_size)
-        side = partial(unrank, X)
-    x_cols = _match_columns(*side(i1), X, t1, d, ell)
-    y_cols = _match_columns(*side(i2), X, t2, d, ell)
-    num_pairs = len(i1)
-    k = np.zeros(num_pairs, dtype=np.int64)
-    for xc, yc in zip(x_cols, y_cols):
-        k += xc & yc
-    sum_k = int(k.sum())
-    sum_k2 = int((k * k).sum())
+        num_pairs = sample_size
+        block = lambda lo, hi: (i1[lo:hi], i2[lo:hi])  # noqa: E731
+    sum_k = sum_k2 = 0
+    for lo in range(0, num_pairs, _PAIR_BLOCK):
+        b1, b2 = block(lo, min(lo + _PAIR_BLOCK, num_pairs))
+        k = np.zeros(len(b1), dtype=np.int64)
+        for xc, yc in zip(_match_columns(*side(b1), X, t1, d, ell),
+                          _match_columns(*side(b2), X, t2, d, ell)):
+            k += xc & yc
+        sum_k += int(k.sum())
+        sum_k2 += int((k * k).sum())
     v = (
         Fraction(sum_k2, num_pairs)
         - 2 * mean * Fraction(sum_k, num_pairs)

@@ -281,16 +281,19 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
 def batch_trace_census(p: int) -> dict[int, int]:
     """Counts {a: #{(r, s) nonsingular with a_{r,s}(p) = a}}; totals p^2 - p.
 
-    From twist_rows(p) in O(p) memory: row 0 over s != 0, and rows 1 and g
+    From the twist rows in O(p) memory: row 0 over s != 0, and rows 1 and g
     over their nonsingular s, once for each twist r = g^k that _twist_traces
     reads from them: ceil((p - 1) / 4) times as a, floor((p - 1) / 4) as -a.
+    The rows are built for this call and kept out of twist_rows' cache,
+    which a census run would fill with rows it never reads again.
     """
     check_prime_bound(p)
     bound = isqrt(4 * p)
-    rows = twist_rows(p).astype(np.int64) + bound  # |a| <= bound: a + bound indexes counts
+    g = primitive_root(p)
+    rows = _correlation_rows(p, g).astype(np.int64) + bound  # |a| <= bound: a + bound indexes counts
     s = np.arange(p, dtype=np.int64)
     counts = np.bincount(rows[0, 1:], minlength=2 * bound + 1)
-    for r, row in zip((1, primitive_root(p)), rows[1:]):
+    for r, row in zip((1, g), rows[1:]):
         h = np.bincount(row[_nonsingular(r, s, p)], minlength=2 * bound + 1)
         counts += (p + 2) // 4 * h + (p - 1) // 4 * h[::-1]  # h[::-1] counts -a
     return {int(a - bound): int(n) for a, n in enumerate(counts) if n > 0}

@@ -90,8 +90,8 @@ def test_criterion_3_delta_oracle():
 
 
 def test_criterion_4_hurwitz_partial_sums():
-    rows = partial_sum_sweep(5, 2000)
-    errs = [(p, err) for p, _, _, _, _, err in rows]
+    cols = partial_sum_sweep(5, 2000)
+    errs = list(zip(cols.p.tolist(), cols.err.tolist()))
     ok = all(err < 10 for _, err in errs)
     dyadic = [(125, 250), (250, 500), (500, 1000), (1000, 2001)]
     maxima = []

@@ -1,10 +1,14 @@
-"""The traced benchmark run wraps package functions at their module bindings.
+"""The benchmark's contract with the package, checked in the test suite.
 
-A refactor that drops or renames one of them fails here, in the test suite,
-rather than only as a failed check in a traced benchmark run.
+The traced benchmark run wraps package functions at their module bindings,
+and every command's stdout must match perfbench/golden.json.  A refactor
+that drops or renames a binding, or changes a byte of box_stats output,
+fails here rather than only in a benchmark run.
 """
 
+import hashlib
 import importlib
+import json
 from pathlib import Path
 
 from ellstab import cli, curves, store, traces
@@ -31,3 +35,16 @@ def test_the_store_oracle_accepts_a_saved_trace_cache(monkeypatch, tmp_path):
     path = tmp_path / "c.etrc"
     store.save(cache, path)
     assert inprocess.store_oracle(cache, str(path))[0] is True
+
+
+def test_box_stats_stdout_matches_the_golden_digests(monkeypatch, capsys):
+    # the five box_stats commands at the golden seed, run in-process; golden.json is only read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    commands = workloads.box_stats(workloads.Inputs(golden["seed"], None, None, {}))
+    assert [cmd.sub for cmd in commands] == ["sieve", "decay", "countcheck", "census", "hurwitz"]
+    for cmd in commands:
+        assert cli.main(list(cmd.argv)) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == golden["stdout_sha256"][cmd.key], cmd.key

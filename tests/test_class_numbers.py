@@ -3,7 +3,7 @@ from math import isqrt
 
 import pytest
 
-from ellstab import class_numbers
+from ellstab import class_numbers, traces
 from ellstab.class_numbers import (
     census_vs_deuring,
     deuring_count,
@@ -17,6 +17,7 @@ from ellstab.errors import InvalidDiscriminant, OutOfHasseRange
 from ellstab.matgroup import delta_density
 from ellstab.primes import primes_up_to
 from ellstab.traces import batch_trace_census
+from record_helpers import fraction_rows
 
 
 def test_hurwitz_examples():
@@ -97,14 +98,14 @@ def sweep_by_scalar_hurwitz(ell, p_max):
 @pytest.mark.parametrize("ell", [5, 7, 13, 37])
 def test_sweep_matches_scalar_hurwitz(ell):
     # covers primes p < ell; binning by -a mod ell would pass too: H(4p - a^2) is even in a
-    assert list(partial_sum_sweep(ell, 400)) == sweep_by_scalar_hurwitz(ell, 400)
+    assert fraction_rows(partial_sum_sweep(ell, 400)) == sweep_by_scalar_hurwitz(ell, 400)
 
 
 @pytest.mark.parametrize("ell", [5, 7])
 def test_sweep_rows_equal_the_fraction_rows_at_2000(ell):
     # the sweep builds S, main and err from integers; the oracle subtracts
     # Fractions, so each err float must agree bit for bit
-    rows, expected = list(partial_sum_sweep(ell, 2000)), sweep_by_scalar_hurwitz(ell, 2000)
+    rows, expected = fraction_rows(partial_sum_sweep(ell, 2000)), sweep_by_scalar_hurwitz(ell, 2000)
     assert [row[:5] for row in rows] == [row[:5] for row in expected]
     assert [row[5].hex() for row in rows] == [row[5].hex() for row in expected]
 
@@ -122,7 +123,7 @@ def test_deuring_matches_census(p):
     bound = isqrt(4 * p - 1)
     for a in range(-bound, bound + 1):
         assert deuring_count(p, a) == census.get(a, 0)
-    assert all(match for _, _, _, match in census_vs_deuring(p))
+    assert all(match for _, _, _, match in census_vs_deuring(p, hurwitz_six_table(4 * p)))
 
 
 @pytest.mark.parametrize("p", [5, 7, 97, 101, 199])
@@ -152,3 +153,23 @@ def test_partial_sum_rejects_a_p_that_is_not_a_prime_of_at_least_5(p, monkeypatc
     with pytest.raises(ValueError, match="prime bound must be in|p must be prime"):
         hurwitz_partial_sum(p, 0, 5)
     assert calls == []
+
+
+@pytest.mark.parametrize("p", [5, 7, 97, 199, 997])
+def test_census_reads_deuring_from_one_shared_table(p):
+    # one table up to 4 * 1000 serves every p <= 1000 of a census run
+    census = batch_trace_census(p)
+    bound = isqrt(4 * p - 1)
+    expected = [(a, census.get(a, 0), deuring_count(p, a), census.get(a, 0) == deuring_count(p, a))
+                for a in range(-bound, bound + 1)]
+    assert census_vs_deuring(p, hurwitz_six_table(4 * 1000)) == expected
+    assert census_vs_deuring(p, hurwitz_six_table(4 * p)) == expected
+    assert all(match for *_, match in expected)
+
+
+def test_census_keeps_its_rows_out_of_the_twist_row_cache():
+    traces.twist_rows.cache_clear()
+    cached = traces.twist_rows(101)
+    for p in (97, 101, 103, 4001):
+        batch_trace_census(p)
+    assert list(traces._ROWS) == [101] and traces._ROWS[101] is cached

@@ -70,6 +70,26 @@ def test_census(capsys):
     assert any(line.startswith("5,1,2,2,") for line in lines)
 
 
+def test_census_holds_no_rows_and_one_hurwitz_table(monkeypatch):
+    # with every prime's twist rows kept in the row cache and one scalar
+    # hurwitz call per trace, bound 2000 peaked at 2.5 MB of tracemalloc
+    tables = []
+    monkeypatch.setattr(class_numbers, "hurwitz", lambda n: pytest.fail("scalar hurwitz called"))
+    real_table = class_numbers.hurwitz_six_table
+    monkeypatch.setattr(class_numbers, "hurwitz_six_table", lambda n: tables.append(n) or real_table(n))
+    traces.twist_rows.cache_clear()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["census", "--prime-bound", "2000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert tables == [8000] and len(traces._ROWS) == 0
+    assert peak < 1.5 * 2**20
+
+
 def test_image_single_curve(capsys):
     code, out, _ = run(
         capsys, "image", "--A", "1", "--B", "0", "--ell", "5", "--prime-bound", "200"

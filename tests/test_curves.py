@@ -11,8 +11,10 @@ from ellstab import curves
 from ellstab.curves import (
     CurveModel,
     _row_counts,
+    _sieve_terms,
     _singular_m,
     _squarefree_count,
+    check_indexable,
     count_curves,
     curve_box,
     discriminant,
@@ -21,6 +23,7 @@ from ellstab.curves import (
     is_minimal,
     reduce_mod_p,
     unrank,
+    unranker,
 )
 from ellstab.errors import BadReduction, InvalidCurve
 
@@ -123,6 +126,64 @@ def test_unrank_matches_enumeration_at_random_indices(case):
     X, idx = case
     A, B = unrank(X, idx)
     assert list(zip(A.tolist(), B.tolist())) == [enumerated(X)[i] for i in idx]
+
+
+def bisection_unrank(X, idx):
+    """Oracle: unrank by searchsorted on the row ends and, in rows that
+    exclude some B, a bisection on the closed-form count of valid B <= y."""
+    check_indexable(X, count_curves(X))
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    counts = _row_counts(X)
+    ends = np.cumsum(counts)
+    if idx.size and (idx.min() < 0 or idx.max() >= ends[-1]):
+        raise ValueError(f"curve index out of range [0, {int(ends[-1])})")
+    row = np.searchsorted(ends, idx, side="right")
+    rank = idx - (ends[row] - counts[row])
+    b_bound = X**3
+    B = rank - b_bound
+    excluded = 2 * b_bound + 1 - counts[row]
+    search = np.flatnonzero(excluded > 0)
+    A = row[search] - X * X
+    lo, rank = B[search], rank[search]
+    hi = lo + excluded[search]
+    d, mu = _sieve_terms(X)
+    d6 = d**6
+    weight = np.where(A[:, None] % d**4 == 0, mu, 0)
+    zero_weight = np.where(A == 0, mu.sum(), 0)
+    m_of_row = np.zeros(len(counts), dtype=np.int64)
+    m_sing = _singular_m(X)
+    m_of_row[X * X - 3 * m_sing**2] = m_sing
+    m = m_of_row[row[search]]
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        below = (weight * (mid[:, None] // d6 - (-b_bound - 1) // d6)).sum(axis=1)
+        below -= zero_weight * (mid >= 0)
+        below -= np.where(m > 0, (mid >= -2 * m**3).astype(np.int64) + (mid >= 2 * m**3), 0)
+        enough = below > rank
+        hi = np.where(enough, mid, hi)
+        lo = np.where(enough, lo, mid + 1)
+    B[search] = lo
+    return row - X * X, B
+
+
+@pytest.mark.parametrize("X", [*range(1, 13), 20, 24, 100, 1000])
+def test_unrank_matches_the_bisection_at_row_boundaries_and_random_indices(X):
+    # ends - 1 and ends are the last curve of each row and the first of the next
+    n = count_curves(X)
+    ends = np.cumsum(_row_counts(X))
+    idx = np.concatenate([ends - 1, ends[:-1], np.random.default_rng(X).integers(0, n, 20_000)])
+    A, B = unrank(X, idx)
+    oA, oB = bisection_unrank(X, idx)
+    assert np.array_equal(A, oA) and np.array_equal(B, oB)
+
+
+def test_one_unranker_serves_every_call():
+    X = 24
+    u = unranker(X)
+    idx = np.random.default_rng(0).integers(0, count_curves(X), 5_000)
+    for part in np.array_split(idx, 7):
+        assert all(map(np.array_equal, u(part), bisection_unrank(X, part)))
+    assert [a.size for a in u([])] == [0, 0]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -225,6 +226,44 @@ def test_sampled_pairs_match_scalar_oracle_at_X_100(t1, t2, d, ell):
     mean = pair_delta(t1, t2, d, ell) * pi_count(X, d, ell)
     expected = sum((Fraction(kk) - mean) ** 2 for kk in oracle) / samples
     assert variance_stat(X, t1, t2, d, ell, samples, seed).V == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15, 10**6])
+def test_variance_does_not_depend_on_the_pair_block(block, monkeypatch):
+    # sampled at X = 20 (admissible primes 7 and 17) and exhaustive at X = 1 and
+    # over 40 curves of the X = 20 box; 300 and 1600 pairs leave a partial last block of 7
+    X, t1, t2, d, ell = 20, 1, 2, 2, 5
+    A, B = unrank(X, np.linspace(0, count_curves(X) - 1, 40).astype(np.int64))
+    small_box = {"count_curves": lambda X: len(A), "curve_box": lambda X: (A, B)}
+
+    def stats():
+        sampled = variance_stat(X, t1, t2, d, ell, 300, 20240101)
+        tiny = variance_stat(1, 1, 2, 1, 5, 10, 1)
+        with monkeypatch.context() as m:
+            for name, fn in small_box.items():
+                m.setattr(sieve_stats, name, fn)
+            exhaustive = variance_stat(X, t1, t2, d, ell, 10, 1)
+        return sampled, tiny, exhaustive
+
+    expected = stats()
+    assert [st.exhaustive for st in expected] == [False, True, True]
+    assert expected[0].V != 0 and expected[2].V != 0
+    monkeypatch.setattr(sieve_stats, "_PAIR_BLOCK", block)
+    assert stats() == expected
+
+
+def test_sampled_variance_holds_one_block_of_temporaries():
+    # the draws are 16 bytes a pair (3.2 MB here); tracing all 200,000 pairs
+    # at once took 12.4 MB of tracemalloc peak
+    variance_stat(24, 1, 2, 1, 5, 100, 1)  # caches: primes, Legendre tables, twist rows
+    tracemalloc.start()
+    try:
+        st = variance_stat(24, 1, 2, 1, 5, 200000, 20240101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.num_pairs == 200000 and not st.exhaustive
+    assert peak < 7 * 2**20
 
 
 @pytest.mark.parametrize("bound", [60, 400])
