@@ -20,6 +20,11 @@ from .primes import primes_up_to
 #: curve (605 MB for the 7.56M curves at X = 18), so about 0.8 GB at the limit
 MAX_BOX_CURVES = 10**7
 
+#: largest X count_curves takes: its loop runs over the squarefree d <= sqrt(X),
+#: so X = 10^12 takes about 1 s and 10^13 about 3 s, and sqrt(X)-long sieves
+#: at X = 10^18 would need GiBs
+MAX_COUNT_HEIGHT = 10**12
+
 
 def is_minimal(A: int, B: int) -> bool:
     """True iff no prime p has both p^4 | A and p^6 | B.
@@ -149,8 +154,11 @@ def count_curves(X: int) -> int:
     Rows with d^4 | A number 2*floor(X^2/d^4) + 1, A = 0 included; the A = 0
     row also loses B = 0, which the sum gives weight sum(mu(d)).  The singular
     pairs are counted without listing their m, so memory stays O(sqrt(X)).
+    X above MAX_COUNT_HEIGHT is refused before any work.
     """
     _check_height(X)
+    if X > MAX_COUNT_HEIGHT:
+        raise ValueError(f"height bound X must be <= {MAX_COUNT_HEIGHT}, got {X}")
     a_bound, b_bound = X * X, X**3
     total = 0
     d, mu = _sieve_terms(X)

@@ -4,14 +4,15 @@ The variance statistic averages (pi_pair - delta * pi)^2 over index pairs
 into the box, every pair when they are few and seeded draws otherwise, via
 integer moment sums, so V is always an exact rational.  The pairs are walked
 in fixed blocks, and the sampled ones are unranked from their indices block
-by block, so that path never builds the box and holds 16 bytes a draw plus
-one block.  The density decay does not build it either: a CRT pattern of
-the first primes' residues generates only the B that pass them, row by row.
+by block, so that path never builds the box and holds one block whatever
+the sample size.  The density decay does not build it either: a CRT pattern
+of the first primes' residues generates only the B that pass them, row by row.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wra
 #: above this many pairs the exhaustive pair set gives way to sampling
 _EXHAUSTIVE_PAIR_LIMIT = 10**6
 
-#: pairs per block of variance_stat: its temporaries are a few int64 and
-#: bool columns of this length, beside the 16 bytes a pair of the draws.
+#: pairs per block of variance_stat: its draws and temporaries are a few
+#: int64 and bool columns of this length.
 #: Cold sieve --X-list 20,24 --samples 200000 peaked at 40.0-40.4 MB with
 #: 2^14, 41.2-41.3 MB with 2^15 and 43.5-43.6 MB with 2^16, and 2^14 was no slower
 _PAIR_BLOCK = 1 << 14
@@ -101,6 +102,22 @@ def _match_columns(
     return cols
 
 
+def _drawn_pairs(n: int, sample_size: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of sample_size seeded index pairs in [0, n), one block held at a time.
+
+    The pairs are those of i1 = rng.integers(0, n, size=sample_size) followed by
+    i2 = rng.integers(0, n, size=sample_size) from one default_rng(seed): a
+    bounded draw in chunks continues the stream exactly where the chunk ended,
+    so a second generator seeded alike and advanced past all of i1 yields i2.
+    """
+    sizes = [min(_PAIR_BLOCK, sample_size - lo) for lo in range(0, sample_size, _PAIR_BLOCK)]
+    rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in sizes:
+        rng2.integers(0, n, size=k)
+    for k in sizes:
+        yield rng1.integers(0, n, size=k), rng2.integers(0, n, size=k)
+
+
 def variance_stat(
     X: int,
     t1: int,
@@ -113,7 +130,7 @@ def variance_stat(
     """Mean of (pi_pair - delta*pi)^2 over C(X)^2, exact or Monte Carlo.
 
     Over index pairs (i1, i2): all n^2 of curve_box while n^2 <= _EXHAUSTIVE_PAIR_LIMIT,
-    else sample_size seeded draws (all of i1, then i2), 16 bytes a pair.  The
+    else sample_size seeded draws (all of i1, then i2; see _drawn_pairs).  The
     pairs are walked in blocks of _PAIR_BLOCK: each side of a block is unranked
     (through one unranker(X)) and traced alone.  A pair's pi_pair is
     k = sum_p x_p(E1) y_p(E2); V expands in sum(k) and sum(k^2), kept as ints.
@@ -131,18 +148,15 @@ def variance_stat(
     if exhaustive:
         A, B = curve_box(X)
         num_pairs = n * n
-        block = lambda lo, hi: np.divmod(np.arange(lo, hi), n)  # noqa: E731
+        blocks = (np.divmod(np.arange(lo, min(lo + _PAIR_BLOCK, num_pairs)), n)
+                  for lo in range(0, num_pairs, _PAIR_BLOCK))
         side = lambda i: (A[i], B[i])  # noqa: E731
     else:
         side = unranker(X)
-        rng = np.random.default_rng(seed)
-        i1 = rng.integers(0, n, size=sample_size)
-        i2 = rng.integers(0, n, size=sample_size)
         num_pairs = sample_size
-        block = lambda lo, hi: (i1[lo:hi], i2[lo:hi])  # noqa: E731
+        blocks = _drawn_pairs(n, sample_size, seed)
     sum_k = sum_k2 = 0
-    for lo in range(0, num_pairs, _PAIR_BLOCK):
-        b1, b2 = block(lo, min(lo + _PAIR_BLOCK, num_pairs))
+    for b1, b2 in blocks:
         k = np.zeros(len(b1), dtype=np.int64)
         for xc, yc in zip(_match_columns(*side(b1), X, t1, d, ell),
                           _match_columns(*side(b2), X, t2, d, ell)):

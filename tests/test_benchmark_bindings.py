@@ -2,7 +2,7 @@
 
 The traced benchmark run wraps package functions at their module bindings,
 and every command's stdout must match perfbench/golden.json.  A refactor
-that drops or renames a binding, or changes a byte of box_stats output,
+that drops or renames a binding, or changes a byte of any workload's output,
 fails here rather than only in a benchmark run.
 """
 
@@ -48,3 +48,21 @@ def test_box_stats_stdout_matches_the_golden_digests(monkeypatch, capsys):
         assert cli.main(list(cmd.argv)) == 0
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == golden["stdout_sha256"][cmd.key], cmd.key
+
+
+def test_per_curve_outputs_match_the_golden_digests(monkeypatch, capsys, tmp_path):
+    # the four per_curve commands at the golden seed, run in-process, with the
+    # rank CSV and the trace cache under tmp_path; golden.json is only read
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    seed, ranks_csv = golden["seed"], tmp_path / "ranks.csv"
+    ranks = workloads.write_rank_csv(seed, ranks_csv)
+    commands = workloads.per_curve(workloads.Inputs(seed, ranks_csv, tmp_path / "traces.etrc", ranks))
+    assert [cmd.sub for cmd in commands] == ["image", "image", "trace", "stability"]
+    for cmd in commands:
+        assert cli.main(list(cmd.argv)) == 0
+        out = capsys.readouterr()
+        assert hashlib.sha256(out.out.encode()).hexdigest() == golden["stdout_sha256"][cmd.key], cmd.key
+        if cmd.check_stderr:
+            assert hashlib.sha256(out.err.encode()).hexdigest() == golden["stderr_sha256"][cmd.key], cmd.key

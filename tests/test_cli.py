@@ -425,6 +425,12 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                       "--d", "1", "--samples", "10", "--seed", "1"),
                      "ValueError: the height-100000 box is too large to index in int64",
                      id="sieve-X-100000"),
+        pytest.param(("countcheck", "--X-list", "10," + str(10**15)),
+                     f"ValueError: height bound X must be <= {10**12}, got {10**15}",
+                     id="countcheck-X-10^15"),
+        pytest.param(("countcheck", "--X-list", str(10**18)),
+                     f"ValueError: height bound X must be <= {10**12}, got {10**18}",
+                     id="countcheck-X-10^18"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):

@@ -10,7 +10,9 @@ from ellstab.curves import CurveModel, count_curves, curve_box, discriminant, en
 from ellstab.galois_image import t_A_proxy_member
 from ellstab.primes import primes_up_to
 from ellstab.sieve_stats import (
+    _PAIR_BLOCK,
     _admissible_primes,
+    _drawn_pairs,
     _match_columns,
     curve_count_check,
     pair_delta,
@@ -253,8 +255,8 @@ def test_variance_does_not_depend_on_the_pair_block(block, monkeypatch):
 
 
 def test_sampled_variance_holds_one_block_of_temporaries():
-    # the draws are 16 bytes a pair (3.2 MB here); tracing all 200,000 pairs
-    # at once took 12.4 MB of tracemalloc peak
+    # tracing all 200,000 pairs at once took 12.4 MB of tracemalloc peak, and
+    # drawing them all at once 3.2 MB more
     variance_stat(24, 1, 2, 1, 5, 100, 1)  # caches: primes, Legendre tables, twist rows
     tracemalloc.start()
     try:
@@ -264,6 +266,32 @@ def test_sampled_variance_holds_one_block_of_temporaries():
         tracemalloc.stop()
     assert st.num_pairs == 200000 and not st.exhaustive
     assert peak < 7 * 2**20
+
+
+@pytest.mark.parametrize("n", [5, 2**32 - 1, 2**32, 2**32 + 1, 10**18])
+@pytest.mark.parametrize("size", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK + 1])
+def test_blocked_draws_equal_one_draw_of_i1_then_one_of_i2(n, size):
+    # numpy draws a bound n <= 2^32 from 32-bit halves and a larger one from 64-bit words
+    rng = np.random.default_rng(20240101)
+    i1, i2 = rng.integers(0, n, size=size), rng.integers(0, n, size=size)
+    blocks = list(_drawn_pairs(n, size, 20240101))
+    assert all(len(b1) == len(b2) <= _PAIR_BLOCK for b1, b2 in blocks)
+    assert np.array_equal(np.concatenate([b1 for b1, _ in blocks]), i1)
+    assert np.array_equal(np.concatenate([b2 for _, b2 in blocks]), i2)
+
+
+def test_sampled_variance_memory_does_not_grow_with_the_samples():
+    # drawing all of i1 and i2 at once held 16 bytes a sample: about +28 MB here
+    variance_stat(24, 1, 2, 1, 5, 100, 1)  # caches: primes, Legendre tables, twist rows
+    peaks = []
+    for samples in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            variance_stat(24, 1, 2, 1, 5, samples, 20240101)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
 
 
 @pytest.mark.parametrize("bound", [60, 400])
