@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import class_numbers, galois_image, ingest, sieve_stats, stability, store
-from .curves import CurveModel, box_size, curve_box, enumerate_curves
+from .curves import CurveModel, box_size, check_unrankable, curve_box, enumerate_curves
 from .errors import EllstabError
 from .galois_image import FieldSpec
 from .matgroup import count_trace_det, delta_density, sl2_order
@@ -175,6 +175,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_sieve(args) -> int:
+    for X in args.X_list:  # every X before the first draw
+        check_unrankable(X)
     stats = [
         sieve_stats.variance_stat(X, args.t1, args.t2, args.d, args.ell, args.samples, args.seed)
         for X in args.X_list

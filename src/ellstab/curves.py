@@ -25,6 +25,13 @@ MAX_BOX_CURVES = 10**7
 #: at X = 10^18 would need GiBs
 MAX_COUNT_HEIGHT = 10**12
 
+#: largest X whose box indexes in int64: count_curves(4706) < 2^63 <= count_curves(4707)
+MAX_INDEX_HEIGHT = 4706
+
+#: largest X unranker takes: its row tables hold about 23 bytes for each of the 2X^2 + 1
+#: rows (cold sieve --X-list X --samples 10 peaked at 73 MB at X = 1000, 188 MB at 2000)
+MAX_UNRANK_HEIGHT = 1000
+
 
 def is_minimal(A: int, B: int) -> bool:
     """True iff no prime p has both p^4 | A and p^6 | B.
@@ -156,9 +163,7 @@ def count_curves(X: int) -> int:
     pairs are counted without listing their m, so memory stays O(sqrt(X)).
     X above MAX_COUNT_HEIGHT is refused before any work.
     """
-    _check_height(X)
-    if X > MAX_COUNT_HEIGHT:
-        raise ValueError(f"height bound X must be <= {MAX_COUNT_HEIGHT}, got {X}")
+    check_countable(X)
     a_bound, b_bound = X * X, X**3
     total = 0
     d, mu = _sieve_terms(X)
@@ -167,10 +172,20 @@ def count_curves(X: int) -> int:
     return total - 2 * _squarefree_count(isqrt(X * X // 3))
 
 
-def check_indexable(X: int, n: int) -> None:
-    """Raise ValueError unless the n = count_curves(X) curves of the box index in int64."""
-    if n > np.iinfo(np.int64).max:
+def check_countable(X: int) -> None:
+    """Raise ValueError unless count_curves takes X: 1 <= X <= MAX_COUNT_HEIGHT."""
+    _check_height(X)
+    if X > MAX_COUNT_HEIGHT:
+        raise ValueError(f"height bound X must be <= {MAX_COUNT_HEIGHT}, got {X}")
+
+
+def check_unrankable(X: int) -> None:
+    """Raise ValueError unless unranker takes X: a box indexable in int64, X <= MAX_UNRANK_HEIGHT."""
+    _check_height(X)
+    if X > MAX_INDEX_HEIGHT:
         raise ValueError(f"the height-{X} box is too large to index in int64")
+    if X > MAX_UNRANK_HEIGHT:
+        raise ValueError(f"height bound X must be <= {MAX_UNRANK_HEIGHT} to unrank, got {X}")
 
 
 def _row_counts(X: int) -> np.ndarray:
@@ -195,8 +210,8 @@ def unranker(X: int) -> Callable[[object], tuple[np.ndarray, np.ndarray]]:
     excluded B in [-X^3, y] by the box model's closed-form counts.  Up to
     X = 3000 a row moves at most 3 times and B takes at most 7 steps.
     """
+    check_unrankable(X)
     n = count_curves(X)
-    check_indexable(X, n)
     counts = _row_counts(X)
     ends = np.cumsum(counts)
     a_bound, b_bound = X * X, X**3
@@ -241,11 +256,6 @@ def unranker(X: int) -> Callable[[object], tuple[np.ndarray, np.ndarray]]:
         return row - a_bound, B
 
     return unrank_at
-
-
-def unrank(X: int, idx) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the curves at positions idx of curve_box(X), without building it: unranker(X)(idx)."""
-    return unranker(X)(idx)
 
 
 def reduce_mod_p(c: CurveModel, p: int) -> tuple[int, int]:

@@ -1,8 +1,39 @@
 """Prime sieving and arithmetic modulo a prime, used throughout the package."""
 
-from functools import lru_cache
+from collections import OrderedDict
+from functools import lru_cache, update_wrapper
 
 import numpy as np
+
+#: most bytes each ByteLRU holds; twist_rows keeps 6p bytes a prime, 12.6 MB for p near 2^21
+CACHE_BYTES = 1 << 24
+
+
+class ByteLRU:
+    """fn(p) cached by p, read-only; past limit bytes in all, the least recently used go."""
+
+    def __init__(self, fn, limit: int = CACHE_BYTES):
+        update_wrapper(self, fn)
+        self.fn, self.limit, self.nbytes = fn, limit, 0
+        self._held: OrderedDict[int, np.ndarray] = OrderedDict()
+        # on the instance: perfbench's package_caches calls each module attribute's cache_clear()
+        self.cache_clear = self._clear
+
+    def __call__(self, p: int) -> np.ndarray:
+        a = self._held.get(p)
+        if a is not None:
+            self._held.move_to_end(p)
+            return a
+        a = self._held[p] = self.fn(p)
+        a.setflags(write=False)
+        self.nbytes += a.nbytes
+        while self.nbytes > self.limit:
+            self.nbytes -= self._held.popitem(last=False)[1].nbytes
+        return a
+
+    def _clear(self) -> None:
+        self._held.clear()
+        self.nbytes = 0
 
 
 @lru_cache(maxsize=32)
@@ -43,7 +74,7 @@ def check_unit(d: int, ell: int) -> None:
         raise ValueError("d must be nonzero mod ell")
 
 
-@lru_cache(maxsize=4096)
+@ByteLRU
 def legendre_table(p: int) -> np.ndarray:
     """chi[v] = (v/p) for v in 0..p-1, as an int8 array."""
     chi = np.full(p, -1, dtype=np.int8)
@@ -87,9 +118,7 @@ def unit_group(p: int) -> tuple[np.ndarray, np.ndarray]:
     return power.astype(np.int32), log
 
 
-@lru_cache(maxsize=16)
+@ByteLRU
 def unit_logs(p: int) -> np.ndarray:
     """The log table of unit_group(p), cached for the few moduli ell a run uses."""
-    log = unit_group(p)[1]
-    log.setflags(write=False)
-    return log
+    return unit_group(p)[1]

@@ -11,13 +11,12 @@ Deuring census counts the rows.  This module alone decides where a batch
 trace comes from and how a singular reduction is marked.
 """
 
-from collections import OrderedDict
 from math import isqrt
 
 import numpy as np
 
 from .errors import SingularReduction
-from .primes import check_ell, legendre_table, primes_up_to, primitive_root, unit_group
+from .primes import ByteLRU, check_ell, legendre_table, primes_up_to, primitive_root, unit_group
 from .store import RECORD
 
 #: sentinel in per-prime trace tables for singular (r, s)
@@ -29,10 +28,6 @@ MAX_TRACE_PRIME = 2_097_151
 #: elements per block of the character-sum gather
 _SUM_BLOCK = 1 << 16
 
-#: largest chi repeated p times (bytes) that the gather reads instead of reducing
-#: mod p, a step that about doubles the cost of a block
-_TILED_CHI_LIMIT = 1 << 22
-
 #: least prime whose twist rows come from FFTs: below it 3p character sums
 #: cost less
 _FFT_MIN_PRIME = 64
@@ -41,10 +36,6 @@ _FFT_MIN_PRIME = 64
 #: Building the rows cost as much as the sums of about 60 curves at
 #: p = 500-1000, 100 at p = 2^14-2^18 and 70 at p = 2^21 (2 vCPU VM)
 _ROW_CURVES_PER_BIT = 8
-
-#: most bytes twist_rows keeps: three int16 rows are 6p bytes a prime, so all
-#: primes below 1000 take 0.46 MB and p near MAX_TRACE_PRIME alone 12.6 MB
-ROW_CACHE_BYTES = 1 << 24
 
 #: most (curve, good prime) cells trace_table fills.  The trace command peaks
 #: near 35.5 bytes a cell (41.2 MB at X = 3, 59.9 MB at X = 4 and 110.0 MB at
@@ -119,16 +110,9 @@ def _character_sums(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, n
     """(a, good) for 1-D residue arrays r, s mod p, with a = 0 where not good.
 
     One 2-D gather chi[(x^3 + r x + s) mod p] over blocks of about _SUM_BLOCK
-    elements, summed over x in int64.  The unreduced index x^3 mod p + r x + s
-    is below p^2, so while chi repeated p times fits in _TILED_CHI_LIMIT bytes
-    the gather reads that instead of reducing mod p, for a batch of at least
-    p/64 curves: building it costs about as much as reducing that many curves'
-    indices (measured for 101 <= p <= 1999).
+    elements, summed over x in int64.
     """
     chi = legendre_table(p)
-    tiled = p * p <= _TILED_CHI_LIMIT and 64 * r.size >= p
-    if tiled:
-        chi = np.tile(chi, p)
     x = np.arange(p, dtype=np.int64)
     x3 = x * x * x % p
     a = np.empty(r.size, dtype=np.int64)
@@ -137,8 +121,7 @@ def _character_sums(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, n
         v = r[i:i + rows, None] * x
         v += x3
         v += s[i:i + rows, None]
-        if not tiled:
-            v %= p
+        v %= p
         a[i:i + rows] = -chi[v].sum(axis=1, dtype=np.int64)
     good = _nonsingular(r, s, p)
     a[~good] = 0
@@ -183,26 +166,10 @@ def _correlation_rows(p: int, g: int) -> np.ndarray:
     return a.astype(np.int16).reshape(3, p)
 
 
-#: twist_rows' cache by p, least recently used first
-_ROWS: OrderedDict[int, np.ndarray] = OrderedDict()
-
-
+@ByteLRU
 def twist_rows(p: int) -> np.ndarray:
-    """The int16 correlation rows for r = 0, 1 and g, the least primitive root mod p.
-
-    Cached by p; past ROW_CACHE_BYTES in all, the least recently used go.
-    """
-    if p in _ROWS:
-        _ROWS.move_to_end(p)
-        return _ROWS[p]
-    rows = _ROWS[p] = _correlation_rows(p, primitive_root(p))
-    rows.setflags(write=False)
-    while sum(a.nbytes for a in _ROWS.values()) > ROW_CACHE_BYTES:
-        _ROWS.popitem(last=False)
-    return rows
-
-
-twist_rows.cache_clear = _ROWS.clear  # cleared like the package's functools caches
+    """The int16 correlation rows for r = 0, 1 and g, the least primitive root mod p."""
+    return _correlation_rows(p, primitive_root(p))
 
 
 def _twist_traces(r: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +227,7 @@ def curve_traces(A, B, p: int) -> tuple[np.ndarray, np.ndarray]:
     - n >= p^2: the census table, 2p^2 bytes built for this batch alone;
     - n >= _row_threshold(p): a gather from twist_rows(p), three int16
       rows that cost three FFTs of length 2p to 4p to build and stay in a
-      cache bounded by ROW_CACHE_BYTES;
+      cache bounded by CACHE_BYTES;
     - otherwise the character sum, p steps per curve.
     """
     check_prime_bound(p)

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from ellstab import cli, curves, store, traces
+from ellstab.primes import legendre_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,6 +27,19 @@ def test_every_traced_binding_exists(monkeypatch):
         tracer.uninstall()
     assert missing == []
     assert cli.trace_table is traces.trace_table
+
+
+def test_the_traced_replay_clears_the_per_prime_array_caches(monkeypatch):
+    # each replayed command starts cold only if these clear functions are found
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inprocess = importlib.import_module("inprocess")
+    clears = inprocess.package_caches()
+    assert legendre_table.cache_clear in clears
+    assert traces.twist_rows.cache_clear in clears
+    legendre_table(101)
+    for clear in clears:  # as the replay does before each command
+        clear()
+    assert legendre_table.nbytes == 0
 
 
 def test_the_store_oracle_accepts_a_saved_trace_cache(monkeypatch, tmp_path):

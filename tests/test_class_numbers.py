@@ -172,4 +172,4 @@ def test_census_keeps_its_rows_out_of_the_twist_row_cache():
     cached = traces.twist_rows(101)
     for p in (97, 101, 103, 4001):
         batch_trace_census(p)
-    assert list(traces._ROWS) == [101] and traces._ROWS[101] is cached
+    assert list(traces.twist_rows._held) == [101] and traces.twist_rows(101) is cached

@@ -86,7 +86,7 @@ def test_census_holds_no_rows_and_one_hurwitz_table(monkeypatch):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert tables == [8000] and len(traces._ROWS) == 0
+    assert tables == [8000] and traces.twist_rows.nbytes == 0
     assert peak < 1.5 * 2**20
 
 
@@ -464,6 +464,31 @@ def test_decay_refuses_a_height_past_int64_before_any_trace(capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert err == "ValueError: height bound X must be <= 817, got 818\n"
+    assert calls == []
+
+
+def test_countcheck_refuses_a_height_past_its_limit_before_any_count(capsys, monkeypatch):
+    # counting X = 10^12 first took about 1 s before the refusal
+    calls = []
+    monkeypatch.setattr(sieve_stats, "count_curves", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "countcheck", "--X-list", f"10,{10**12 + 1}")
+    assert code == 2
+    assert out == ""
+    assert err == f"ValueError: height bound X must be <= {10**12}, got {10**12 + 1}\n"
+    assert calls == []
+
+
+def test_sieve_refuses_a_height_past_the_unrank_limit_before_any_count(capsys, monkeypatch):
+    # the unrank tables at X = 2000 took the sieve to 188 MB
+    calls = []
+    monkeypatch.setattr(sieve_stats, "count_curves", lambda *args: calls.append(args))
+    monkeypatch.setattr(sieve_stats, "unranker", lambda *args: calls.append(args))
+    monkeypatch.setattr(sieve_stats, "curve_box", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "sieve", "--X-list", "20,2000", "--ell", "5", "--t1", "1",
+                         "--t2", "2", "--d", "1", "--samples", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "ValueError: height bound X must be <= 1000 to unrank, got 2000\n"
     assert calls == []
 
 

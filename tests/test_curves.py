@@ -14,7 +14,6 @@ from ellstab.curves import (
     _sieve_terms,
     _singular_m,
     _squarefree_count,
-    check_indexable,
     count_curves,
     curve_box,
     discriminant,
@@ -22,7 +21,6 @@ from ellstab.curves import (
     height,
     is_minimal,
     reduce_mod_p,
-    unrank,
     unranker,
 )
 from ellstab.errors import BadReduction, InvalidCurve
@@ -109,7 +107,7 @@ def test_count_monotone_and_near_asymptotic():
 @pytest.mark.parametrize("X", range(1, 9))
 def test_unrank_every_index_reproduces_curve_box(X):
     A, B = curve_box(X)
-    uA, uB = unrank(X, np.arange(len(A)))
+    uA, uB = unranker(X)(np.arange(len(A)))
     assert uA.tolist() == A.tolist()
     assert uB.tolist() == B.tolist()
 
@@ -124,14 +122,14 @@ def enumerated(X):
     st.just(X), st.lists(st.integers(0, len(enumerated(X)) - 1), min_size=1, max_size=20))))
 def test_unrank_matches_enumeration_at_random_indices(case):
     X, idx = case
-    A, B = unrank(X, idx)
+    A, B = unranker(X)(idx)
     assert list(zip(A.tolist(), B.tolist())) == [enumerated(X)[i] for i in idx]
 
 
 def bisection_unrank(X, idx):
     """Oracle: unrank by searchsorted on the row ends and, in rows that
     exclude some B, a bisection on the closed-form count of valid B <= y."""
-    check_indexable(X, count_curves(X))
+    assert count_curves(X) <= np.iinfo(np.int64).max
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     counts = _row_counts(X)
     ends = np.cumsum(counts)
@@ -172,7 +170,7 @@ def test_unrank_matches_the_bisection_at_row_boundaries_and_random_indices(X):
     n = count_curves(X)
     ends = np.cumsum(_row_counts(X))
     idx = np.concatenate([ends - 1, ends[:-1], np.random.default_rng(X).integers(0, n, 20_000)])
-    A, B = unrank(X, idx)
+    A, B = unranker(X)(idx)
     oA, oB = bisection_unrank(X, idx)
     assert np.array_equal(A, oA) and np.array_equal(B, oB)
 
@@ -211,7 +209,7 @@ def test_unrank_rejects_out_of_range_indices(X, i):
     if 0 <= i < n:
         i += n
     with pytest.raises(ValueError):
-        unrank(X, [0, i])
+        unranker(X)([0, i])
 
 
 def test_count_curves_counts_the_singular_m_without_listing_them():
@@ -227,9 +225,29 @@ def test_count_curves_counts_the_singular_m_without_listing_them():
 
 
 def test_bad_height_rejected():
-    for fn in (count_curves, curve_box, lambda X: unrank(X, [0])):
+    for fn in (count_curves, curve_box, lambda X: unranker(X)([0])):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_the_index_height_is_the_last_box_that_indexes_in_int64():
+    top = np.iinfo(np.int64).max
+    assert count_curves(curves.MAX_INDEX_HEIGHT) <= top < count_curves(curves.MAX_INDEX_HEIGHT + 1)
+
+
+@pytest.mark.parametrize("X, message", [
+    (curves.MAX_UNRANK_HEIGHT + 1,
+     f"height bound X must be <= {curves.MAX_UNRANK_HEIGHT} to unrank, got {curves.MAX_UNRANK_HEIGHT + 1}"),
+    (curves.MAX_INDEX_HEIGHT + 1,
+     f"the height-{curves.MAX_INDEX_HEIGHT + 1} box is too large to index in int64"),
+])
+def test_unranker_refuses_a_height_past_its_limits_before_any_table(X, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(curves, "_row_counts", lambda *args: calls.append(args))
+    monkeypatch.setattr(curves, "count_curves", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        unranker(X)
+    assert calls == []
 
 
 def test_curve_box_stops_at_its_curve_limit(monkeypatch):

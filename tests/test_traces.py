@@ -192,11 +192,11 @@ def test_curve_traces_on_fixed_batches(A, B, p):
     assert_curve_traces_match_point_counts(A, B, p)
 
 
-@pytest.mark.parametrize("p", [2053, 10007])
-def test_curve_traces_reduce_mod_p_beyond_the_tiled_chi(p):
-    # chi repeated p times would pass its size limit, so the gather takes
-    # x^3 + rx + s mod p; the scalar frobenius_trace is the oracle
-    assert p * p > traces._TILED_CHI_LIMIT
+@pytest.mark.parametrize("p", [101, 2053, 10007])
+def test_curve_traces_character_sums_equal_the_scalar_trace(p):
+    # 40 curves are below _row_threshold(p), so the character sum gathers
+    # chi at x^3 + rx + s mod p; the scalar frobenius_trace is the oracle
+    assert 40 < traces._row_threshold(p)
     A, B = np.arange(-20, 20), np.arange(-20, 20) ** 3 + 5
     a, good = curve_traces(A, B, p)
     assert good.all()
@@ -363,23 +363,68 @@ def test_row_cache_stays_under_its_byte_bound_after_a_sweep_and_a_trace_table():
     traces.twist_rows.cache_clear()
     surjectivity_sweep(8, 17, 1000)
     trace_table(*curve_box(3), 1000, 5)
-    held = sum(rows.nbytes for rows in traces._ROWS.values())
-    assert 0 < held <= traces.ROW_CACHE_BYTES
+    held = traces.twist_rows.nbytes
+    assert held == sum(rows.nbytes for rows in traces.twist_rows._held.values())
+    assert 0 < held <= traces.twist_rows.limit
     # three int16 rows a prime
     assert held <= 6 * sum(p for p in primes_up_to(1000))
 
 
 def test_row_cache_drops_the_least_recently_used_past_its_bound(monkeypatch):
     # stand-in rows of 6p bytes, under a bound that holds 11 and 17 but not 13 too
-    monkeypatch.setattr(traces, "ROW_CACHE_BYTES", 6 * (11 + 17))
-    monkeypatch.setattr(traces, "_correlation_rows", lambda p, g: np.zeros((3, p), dtype=np.int16))
+    monkeypatch.setattr(traces.twist_rows, "limit", 6 * (11 + 17))
+    built = []
+    monkeypatch.setattr(traces, "_correlation_rows",
+                        lambda p, g: built.append(p) or np.zeros((3, p), dtype=np.int16))
     traces.twist_rows.cache_clear()
     try:
         for p in (11, 13, 11, 17):  # 17 drops 13, the least recently used
             traces.twist_rows(p)
-        assert list(traces._ROWS) == [11, 17]
+        assert built == [11, 13, 17] and list(traces.twist_rows._held) == [11, 17]
+        traces.twist_rows(11)
+        traces.twist_rows(13)
+        assert built == [11, 13, 17, 13]
     finally:
         traces.twist_rows.cache_clear()  # drop the stand-in rows
+
+
+def test_a_legendre_scan_over_many_primes_holds_no_more_than_the_limit(monkeypatch):
+    # the primes below 20000 sum to about 21 MB of int8 tables
+    monkeypatch.setattr(legendre_table, "limit", 1 << 20)
+    legendre_table.cache_clear()
+    try:
+        for p in primes_up_to(20000)[2:]:
+            chi = legendre_table(p)
+            assert legendre_table.nbytes <= 1 << 20
+        assert legendre_table.nbytes == sum(a.nbytes for a in legendre_table._held.values())
+        assert legendre_table(p) is chi  # the last one stays
+    finally:
+        legendre_table.cache_clear()
+
+
+def test_an_array_past_the_limit_by_itself_is_returned_and_not_kept(monkeypatch):
+    monkeypatch.setattr(legendre_table, "limit", 100)
+    legendre_table.cache_clear()
+    try:
+        legendre_table(97)
+        assert list(legendre_table._held) == [97]
+        assert len(legendre_table(101)) == 101  # drops 97, then itself
+        assert legendre_table.nbytes == 0 and not legendre_table._held
+    finally:
+        legendre_table.cache_clear()
+
+
+@pytest.mark.parametrize("cache", [legendre_table, traces.twist_rows], ids=["legendre_table", "twist_rows"])
+def test_cached_arrays_are_read_only_and_cache_clear_empties_the_cache(cache):
+    p = 101
+    a = cache(p)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 0
+    assert cache(p) is a and cache.nbytes >= a.nbytes
+    cache.cache_clear()
+    assert cache.nbytes == 0 and not cache._held
+    assert cache(p) is not a and np.array_equal(cache(p), a)
 
 
 @settings(deadline=None, max_examples=20)
