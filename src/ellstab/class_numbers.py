@@ -9,7 +9,6 @@ integer 6*H(n) so all identities check exactly.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -62,7 +61,6 @@ def hurwitz(n: int) -> HurwitzValue:
     return HurwitzValue(n, six)
 
 
-@lru_cache(maxsize=8)
 def hurwitz_six_table(n_max: int) -> np.ndarray:
     """Array h6 with h6[n] = 6*H(n) for 0 < n <= n_max (0 elsewhere).
 

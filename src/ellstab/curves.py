@@ -74,23 +74,39 @@ def _check_height(X: int) -> None:
 
 
 def enumerate_curves(X: int) -> Iterator[CurveModel]:
-    """Every curve of the height-X box in (A, B) order, lazily from box_rows; X is checked now."""
-    _check_height(X)
+    """Every curve of the height-X box in (A, B) order, lazily from box_rows; box_size checks X now."""
+    box_size(X)
     return (CurveModel(A, B) for A, row in box_rows(X) for B in row.tolist())
 
 
 def box_rows(X: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(A, increasing array of the B with (A, B) a curve) for each A, increasing."""
+    """(A, increasing array of the B with (A, B) a curve) for each A, increasing.
+
+    Each row is row_curves over one shared array of every |B| <= X^3, made
+    read-only because a row that drops nothing is that array itself.
+    """
     _check_height(X)
-    ps = primes_up_to(isqrt(X))  # p^4 <= X^2: the primes that can break minimality
     b = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
-    b_sq27 = 27 * b * b
+    b.setflags(write=False)
     for A in range(-X * X, X * X + 1):
-        mask = (4 * A**3 + b_sq27) != 0
-        for p in ps:
-            if A % p**4 == 0:
-                mask &= (b % p**6) != 0
-        yield A, b[mask]
+        yield A, row_curves(A, b, X)
+
+
+def row_curves(A: int, b: np.ndarray, X: int) -> np.ndarray:
+    """The B of the candidates b (|B| <= X^3, any order) with (A, B) a curve of the height-X box.
+
+    Drops the singular B, those of the pairs (-3k^2, +-2k^3), (0, 0) included,
+    and the non-minimal B, with p^4 | A and p^6 | B for a prime p <= sqrt(X):
+    a larger p has p^4 > X^2 >= |A| and p^6 > X^3 >= |B|.  Returns b itself,
+    not a copy, when A admits neither.
+    """
+    k = isqrt(max(-A, 0) // 3)
+    if A == -3 * k * k:
+        b = b[np.abs(b) != 2 * k**3]
+    for p in primes_up_to(isqrt(X)):
+        if A % p**4 == 0:
+            b = b[b % p**6 != 0]
+    return b
 
 
 def box_size(X: int) -> int:

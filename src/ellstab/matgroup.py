@@ -8,7 +8,7 @@ searches) a finite exact computation.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded
@@ -100,20 +100,13 @@ class MatGroup:
     def __contains__(self, g: Mat2) -> bool:
         return g in self._element_set
 
-    @property
+    @cached_property
     def _element_set(self) -> frozenset:
-        # cached lazily on the instance
-        s = self.__dict__.get("_eset")
-        if s is None:
-            s = frozenset(self.elements)
-            object.__setattr__(self, "_eset", s)
-        return s
+        return frozenset(self.elements)
 
 
-def generate_subgroup(
-    gens: list[Mat2] | tuple[Mat2, ...], ell: int, budget: int = MAX_GROUP_ORDER
-) -> MatGroup:
-    """Breadth-first closure of the generators under multiplication."""
+def generate_subgroup(gens: list[Mat2] | tuple[Mat2, ...], ell: int) -> MatGroup:
+    """Breadth-first closure of the generators under multiplication, up to MAX_GROUP_ORDER."""
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     gens = tuple(tuple(x % ell for x in g) for g in gens)
@@ -128,8 +121,8 @@ def generate_subgroup(
             for h in gens:
                 gh = mat_mul(g, h, ell)
                 if gh not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceeded(f"closure exceeds budget {budget}")
+                    if len(seen) >= MAX_GROUP_ORDER:
+                        raise BudgetExceeded(f"closure exceeds budget {MAX_GROUP_ORDER}")
                     seen.add(gh)
                     nxt.append(gh)
         frontier = nxt

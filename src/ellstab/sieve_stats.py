@@ -11,13 +11,12 @@ of the first primes' residues generates only the B that pass them, row by row.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterator
 
 import numpy as np
 
 from .curves import CurveModel, check_countable, check_unrankable, count_curves, curve_box
-from .curves import discriminant, unranker
+from .curves import discriminant, row_curves, unranker
 from .matgroup import delta_density
 from .primes import check_ell, check_unit, primes_up_to
 from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
@@ -183,10 +182,9 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     the row's survivors in one curve_traces call.  The head primes, the
     first targets whose product M stays within _PATTERN_PERIOD_LIMIT, give
     each row A by CRT the classes c mod M that pass them all, and only the
-    B = c mod M in [-X^3, X^3] are generated and tested for minimality, and
-    for singularity in the rows A = -3k^2, whose singular pairs are
-    (A, +-2k^3).  The later primes then drop that row's survivors one by
-    one.  The denominator is count_curves(X), so no row of the box is built.
+    B = c mod M in [-X^3, X^3] are generated, of which row_curves keeps the
+    curves.  The later primes then drop that row's survivors one by one.
+    The denominator is count_curves(X), so no row of the box is built.
     """
     total = count_curves(X)
     targets = [(p, frobenius_trace(a.A, a.B, p) % ell)
@@ -214,7 +212,6 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
 
     b_max = X**3
     per_class = np.arange(-(-(2 * b_max + 1) // M)) * M
-    minimality = [(q**4, q**6) for q in primes_up_to(isqrt(X))]  # q^4 <= X^2
     matched = 0
     for A in range(-X * X, X * X + 1):
         pattern = np.ones(M, dtype=bool)
@@ -223,13 +220,7 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
         c = np.flatnonzero(pattern)
         first = (c + b_max) % M - b_max  # the least B >= -X^3 in each class c
         b = first[:, None] + per_class
-        b = b[b <= b_max]
-        k = isqrt(max(-A, 0) // 3)
-        if A == -3 * k * k:
-            b = b[np.abs(b) != 2 * k**3]
-        for q4, q6 in minimality:
-            if A % q4 == 0:
-                b = b[b % q6 != 0]
+        b = row_curves(A, b[b <= b_max], X)
         for p, ta in targets[head:]:
             if not len(b):
                 break
@@ -252,11 +243,11 @@ def t_A_density_curve(
     return [(X, t_A_proxy_ratio(a, X, ell, bound)) for X in X_values]
 
 
-def zeta10(digits: int = 14) -> float:
-    """zeta(10) by partial summation; the tail beyond N is < N^-9 / 9."""
+def zeta10() -> float:
+    """zeta(10) by partial summation, until the tail bound N^-9 / 9 is <= 10^-16."""
     n = 1
     total = 0.0
-    while n ** -9 / 9 > 10.0 ** (-digits - 2):
+    while n ** -9 / 9 > 10.0 ** -16:
         total += n ** -10
         n += 1
     return total

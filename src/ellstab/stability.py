@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import CurveModel, count_curves
-from .galois_image import MEMBER, FieldSpec, t_kl_member
+from .galois_image import MEMBER, UNDETERMINED, FieldSpec, t_kl_member
 from .matgroup import (
     find_tau0,
     find_tau1,
@@ -23,7 +23,6 @@ from .matgroup import (
 )
 
 SATISFIED = "Satisfied"
-UNDETERMINED = "Undetermined"
 
 _CHECKABLE_ELLS = (5, 7, 11, 13)
 

@@ -28,10 +28,6 @@ MAX_TRACE_PRIME = 2_097_151
 #: elements per block of the character-sum gather
 _SUM_BLOCK = 1 << 16
 
-#: least prime whose twist rows come from FFTs: below it 3p character sums
-#: cost less
-_FFT_MIN_PRIME = 64
-
 #: curves per bit of p from which a curve_traces batch reads twist_rows.
 #: Building the rows cost as much as the sums of about 60 curves at
 #: p = 500-1000, 100 at p = 2^14-2^18 and 70 at p = 2^21 (2 vCPU VM)
@@ -136,32 +132,30 @@ def _nonsingular(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
 def _correlation_rows(p: int, g: int) -> np.ndarray:
     """int16 rows a_{r,s}(p) over all s for r = 0, 1, g (singular s as the sum gives them).
 
-    a_{r,s} = -sum_y N_r(y) chi(y + s) with N_r(y) = #{x : x^3 + rx = y}: from
-    _FFT_MIN_PRIME on, one bincount and one real FFT correlation per row,
-    zero-padded to a power of two >= 2p so that the two halves of the linear
-    correlation add up to the cyclic one, then rounded.  Below it, or if any
-    correlation lies 1/4 or more from its integer, the rows are 3p
-    character sums.
+    a_{r,s} = -sum_y N_r(y) chi(y + s) with N_r(y) = #{x : x^3 + rx = y}: one
+    bincount and one real FFT correlation per row, zero-padded to a power of
+    two >= 2p so that the two halves of the linear correlation add up to the
+    cyclic one, then rounded.  If any correlation lies 1/4 or more from its
+    integer, the rows are 3p character sums instead, which are exact.
     """
     x = np.arange(p, dtype=np.int64)
     reps = np.array([0, 1, g], dtype=np.int64)
-    if p >= _FFT_MIN_PRIME:
-        x3 = x * x * x % p
-        n = 1 << (2 * p - 1).bit_length()
-        chi = np.fft.rfft(legendre_table(p), n)
-        rows = np.empty((3, p), dtype=np.int16)
-        for i, r in enumerate(reps.tolist()):
-            f = np.fft.rfft(np.bincount((x3 + r * x) % p, minlength=p), n)
-            np.conjugate(f, out=f)
-            f *= chi
-            corr = np.fft.irfft(f, n)
-            corr = corr[:p] + corr[n - p:]
-            a = np.rint(corr)
-            if np.abs(corr - a).max() >= 0.25:
-                break
-            rows[i] = -a
-        else:
-            return rows
+    x3 = x * x * x % p
+    n = 1 << (2 * p - 1).bit_length()
+    chi = np.fft.rfft(legendre_table(p), n)
+    rows = np.empty((3, p), dtype=np.int16)
+    for i, r in enumerate(reps.tolist()):
+        f = np.fft.rfft(np.bincount((x3 + r * x) % p, minlength=p), n)
+        np.conjugate(f, out=f)
+        f *= chi
+        corr = np.fft.irfft(f, n)
+        corr = corr[:p] + corr[n - p:]
+        a = np.rint(corr)
+        if np.abs(corr - a).max() >= 0.25:
+            break
+        rows[i] = -a
+    else:
+        return rows
     a, _ = _character_sums(np.repeat(reps, p), np.tile(x, 3), p)
     return a.astype(np.int16).reshape(3, p)
 

@@ -368,6 +368,8 @@ BOUND_RANGE = f"ValueError: prime bound must be in [5, {traces.MAX_TRACE_PRIME}]
 BAD_ELL = "ValueError: ell must be a prime >= 5, got"
 BAD_HEIGHT = "ValueError: height bound X must be >= 1"
 BIG_BOX = "ValueError: the height-40 box has 409322108 curves, more than 10000000"
+HUGE_BOX = ("ValueError: the height-100000 box has 39960256524727810750988628 curves, "
+            "more than 10000000")
 TRACE_CELLS = ("ValueError: tracing 401782 curves below 1000 fills 66294030 cells, "
                f"more than {traces.MAX_TRACE_CELLS}")
 CURVE = ("--A", "-1", "--B", "-1")
@@ -409,6 +411,12 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
         pytest.param(("enumerate", "--X", "0"), BAD_HEIGHT, id="enumerate-csv-X-0"),
         pytest.param(("enumerate", "--X", "0", "--format", "json"), BAD_HEIGHT,
                      id="enumerate-json-X-0"),
+        pytest.param(("enumerate", "--X", "40"), BIG_BOX, id="enumerate-csv-X-40"),
+        pytest.param(("enumerate", "--X", "40", "--format", "json"), BIG_BOX,
+                     id="enumerate-json-X-40"),
+        pytest.param(("enumerate", "--X", "100000"), HUGE_BOX, id="enumerate-csv-X-100000"),
+        pytest.param(("enumerate", "--X", "100000", "--format", "json"), HUGE_BOX,
+                     id="enumerate-json-X-100000"),
         pytest.param(("image", "--X", "40", "--ell", "5", "--prime-bound", "100"), BIG_BOX,
                      id="image-X-40"),
         pytest.param(("trace", "--X", "40", "--ell", "5", "--prime-bound", "100"), BIG_BOX,

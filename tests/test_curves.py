@@ -21,6 +21,7 @@ from ellstab.curves import (
     height,
     is_minimal,
     reduce_mod_p,
+    row_curves,
     unranker,
 )
 from ellstab.errors import BadReduction, InvalidCurve
@@ -85,6 +86,40 @@ def test_enumeration_matches_brute_force(X):
     assert got == brute_force_box(X)
     # lexicographic and invariant-clean by construction of CurveModel
     assert got == sorted(got)
+
+
+def scalar_row(A, b):
+    """The B of b, in order, with (A, B) nonsingular and minimal, one pair at a time."""
+    return [B for B in b if 4 * A**3 + 27 * B * B != 0 and is_minimal(A, B)]
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 6])
+def test_row_curves_is_the_scalar_rule_on_every_row(X):
+    b = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
+    for A in range(-X * X, X * X + 1):
+        assert row_curves(A, b, X).tolist() == scalar_row(A, b.tolist()), A
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 6, 12])
+def test_row_curves_is_the_scalar_rule_on_random_candidates(X):
+    # candidates in any order, as t_A_proxy_ratio's CRT classes come
+    rng = np.random.default_rng(X)
+    row = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
+    for A in range(-X * X, X * X + 1):
+        b = rng.permutation(row)[: rng.integers(0, min(len(row), 200) + 1)]
+        assert row_curves(A, b, X).tolist() == scalar_row(A, b.tolist()), A
+
+
+def test_box_rows_share_one_read_only_candidate_row():
+    rows = dict(curves.box_rows(3))
+    clean = [rows[A] for A in (1, 2, 5)]  # neither -3k^2 nor divisible by 2^4 or 3^4
+    assert all(np.shares_memory(r, clean[0]) and len(r) == 55 for r in clean)
+    with pytest.raises(ValueError, match="read-only"):
+        clean[0][0] = 7
+    b = np.arange(-27, 28, dtype=np.int64)
+    assert row_curves(1, b, 3) is b
+    assert rows[-3].tolist() == [B for B in b.tolist() if abs(B) != 2]
+    assert rows[0].tolist() == [B for B in b.tolist() if B != 0]
 
 
 @pytest.mark.parametrize("X", [1, 2, 3, 5])

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from ellstab import matgroup
 from ellstab.errors import BudgetExceeded
 from ellstab.matgroup import (
     count_trace_det,
@@ -53,9 +54,12 @@ def test_closure_sizes():
     assert full_gl2(7).order == gl2_order(7)
 
 
-def test_closure_budget():
-    with pytest.raises(BudgetExceeded):
-        generate_subgroup([(1, 1, 0, 1)], 5, budget=3)
+def test_closure_budget(monkeypatch):
+    monkeypatch.setattr(matgroup, "MAX_GROUP_ORDER", 3)
+    with pytest.raises(BudgetExceeded, match="closure exceeds budget 3"):
+        generate_subgroup([(1, 1, 0, 1)], 5)
+    monkeypatch.setattr(matgroup, "MAX_GROUP_ORDER", 5)
+    assert generate_subgroup([(1, 1, 0, 1)], 5).order == 5
 
 
 def test_irreducibility():
