@@ -15,9 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDiscriminant, OutOfHasseRange
-from .matgroup import delta_density
-from .primes import check_ell, is_prime
+from .primes import check_ell, is_prime, legendre_table
 from .traces import check_prime_bound, good_primes
+
+#: most rows partial_sum_sweep builds: hurwitz peaks near 50 bytes a row beside the table
+#: (317 MB for 5.7M rows at ell = 18917, bound 2000), so about 0.5 GB at the limit
+MAX_SWEEP_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def _partial_sums(ps: list[int], ell: int, table: np.ndarray) -> PartialSums:
     six[i, t] sums table[4p - a^2] over a^2 < 4p, a = t mod ell: one strided
     add per |a| over the primes p > a^2 / 4.  err = |six den - 12 p num| /
     (6 den) is one int64 true division, exact floats on both sides while
-    12 p ell^2 < 2^53 (ell < 19,000), so it rounds as float(S - main) would.
+    12 p ell^2 < 2^53 (ell <= MAX_ELL), so it rounds as float(S - main) would.
     """
     p = np.array(ps, dtype=np.int32)
     six = np.zeros((len(ps), ell), dtype=np.int32)  # six <= 12p < 2^31
@@ -132,15 +135,15 @@ def _partial_sums(ps: list[int], ell: int, table: np.ndarray) -> PartialSums:
         if a:
             six[first:, -a % ell] += h
     d = p % ell
-    deltas = [delta_density(t, dd, ell) for dd in range(1, ell) for t in range(ell)]
-    num = np.array([x.numerator for x in deltas], dtype=np.int64).reshape(-1, ell)[d - 1]
-    den = np.array([x.denominator for x in deltas], dtype=np.int64).reshape(-1, ell)[d - 1]
+    t = np.arange(ell, dtype=np.int64)
+    num = ell + legendre_table(ell)[(t * t - 4 * d[:, None]) % ell].astype(np.int64)
+    den = np.int64(ell * ell - 1)  # delta(t, d, ell) = num / den, as in delta_density
     err = np.abs(six * den - 12 * p[:, None] * num) / (6 * den)
     err /= ell * np.array([q**0.5 for q in ps])[:, None]
     num *= 2 * p[:, None]  # main = 2p num / den, reduced in place
     g = np.gcd(num, den)
     num //= g
-    den //= g
+    den = den // g
     s_den = np.gcd(six, 6)
     six //= s_den
     np.floor_divide(6, s_den, out=s_den)
@@ -188,8 +191,13 @@ def partial_sum_sweep(ell: int, p_max: int) -> PartialSums:
 
     Array work over one hurwitz_six_table(4 p_max), 32 bytes per unit of
     p_max; the rows come back as PartialSums columns in (p, t) order, 44
-    bytes a row (p, d, t and S as int32, main as int64).
+    bytes a row (p, d, t and S as int32, main as int64).  More than
+    MAX_SWEEP_ROWS rows are refused before the table is built.
     """
     check_ell(ell)
     check_prime_bound(p_max)
-    return _partial_sums(good_primes(1, p_max, ell), ell, hurwitz_six_table(4 * p_max))
+    ps = good_primes(1, p_max, ell)
+    rows = len(ps) * ell
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"summing {ell} residues at {len(ps)} primes fills {rows} rows, more than {MAX_SWEEP_ROWS}")
+    return _partial_sums(ps, ell, hurwitz_six_table(4 * p_max))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import class_numbers, galois_image, ingest, sieve_stats, stability, store
-from .curves import CurveModel, box_size, check_unrankable, curve_box, enumerate_curves
+from .curves import CurveModel, box_rows, box_size, check_unrankable, curve_box, enumerate_curves
 from .errors import EllstabError
 from .galois_image import FieldSpec
 from .matgroup import count_trace_det, delta_density, sl2_order
@@ -35,11 +35,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_enumerate(args) -> int:
-    curves = enumerate_curves(args.X)
+    box_size(args.X)  # a box too large to list is refused before the header
     if args.format == "csv":
-        print("A,B")
-    for c in curves:
-        print(json.dumps({"A": c.A, "B": c.B}) if args.format == "json" else f"{c.A},{c.B}")
+        sys.stdout.write("A,B\n")
+    for A, row in box_rows(args.X):
+        head, end = (f'{{"A": {A}, "B": ', "}\n") if args.format == "json" else (f"{A},", "\n")
+        sys.stdout.write("".join(f"{head}{B}{end}" for B in row.tolist()))
     return 0
 
 

@@ -32,7 +32,6 @@ CM_J = (0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
 class ImageVerdict:
     status: str
     witnesses: dict
-    sample_bound: int
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,8 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
             w["det"][d] = p
             g = gcd(g, log[d])
         if g == 1 and w["split"] and w["nonsplit"] and w["exceptional"]:
-            return ImageVerdict(SURJECTIVE_PROVEN, w, bound)
-    return ImageVerdict(UNDETERMINED, w, bound)
+            return ImageVerdict(SURJECTIVE_PROVEN, w)
+    return ImageVerdict(UNDETERMINED, w)
 
 
 def t_kl_member(c: CurveModel, ell: int, K: FieldSpec, bound: int) -> str:

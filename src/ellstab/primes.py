@@ -5,6 +5,10 @@ from functools import lru_cache, update_wrapper
 
 import numpy as np
 
+#: largest ell: the largest prime with 12 * MAX_TRACE_PRIME * ell^2 < 2^53, so the Hurwitz sums'
+#: err is one exact float division at every prime bound (image --X 3 at this ell peaked at 36 MB)
+MAX_ELL = 18_917
+
 #: most bytes each ByteLRU holds; twist_rows keeps 6p bytes a prime, 12.6 MB for p near 2^21
 CACHE_BYTES = 1 << 24
 
@@ -63,7 +67,9 @@ def is_prime(n: int) -> bool:
 
 
 def check_ell(ell: int) -> None:
-    """Raise ValueError unless ell is a prime >= 5."""
+    """Raise ValueError unless ell is a prime 5 <= ell <= MAX_ELL, checking the bound before is_prime."""
+    if ell > MAX_ELL:
+        raise ValueError(f"ell must be <= {MAX_ELL}, got {ell}")
     if ell < 5 or not is_prime(ell):
         raise ValueError(f"ell must be a prime >= 5, got {ell}")
 

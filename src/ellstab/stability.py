@@ -34,26 +34,9 @@ MAX_STABILITY_CURVES = 100_000
 
 @dataclass(frozen=True)
 class StabilityReport:
-    curve: CurveModel
-    ell: int
-    field: FieldSpec
     t_kl: str
-    irreducible: bool
-    h1_zero: bool
-    no_abelian_ell: bool
-    tau0_found: bool
-    tau1_found: bool
+    conditions: tuple[bool, bool, bool, bool, bool]  # full_image_conditions(ell)
     ds_verdict: str
-
-    @property
-    def conditions(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (
-            self.irreducible,
-            self.h1_zero,
-            self.no_abelian_ell,
-            self.tau0_found,
-            self.tau1_found,
-        )
 
 
 @lru_cache(maxsize=8)
@@ -87,7 +70,7 @@ def check_ds(c: CurveModel, K: FieldSpec, ell: int, bound: int) -> StabilityRepo
     t_kl = t_kl_member(c, ell, K, bound)
     flags = full_image_conditions(ell)
     verdict = SATISFIED if (t_kl == MEMBER and all(flags)) else UNDETERMINED
-    return StabilityReport(c, ell, K, t_kl, *flags, verdict)
+    return StabilityReport(t_kl, flags, verdict)
 
 
 def s_kl_census(

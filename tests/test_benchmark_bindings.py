@@ -11,7 +11,7 @@ import importlib
 import json
 from pathlib import Path
 
-from ellstab import cli, curves, store, traces
+from ellstab import cli, curves, galois_image, store, traces
 from ellstab.primes import legendre_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,6 +40,16 @@ def test_the_traced_replay_clears_the_per_prime_array_caches(monkeypatch):
     for clear in clears:  # as the replay does before each command
         clear()
     assert legendre_table.nbytes == 0
+
+
+def test_the_classify_oracle_agrees_with_a_small_sweep(monkeypatch):
+    # the oracle builds curves as ellstab.CurveModel, outside the traced bindings
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inprocess = importlib.import_module("inprocess")
+    full = galois_image.surjectivity_sweep(2, 5, 100)
+    sample = [(int(full.A[i]), int(full.B[i])) for i in (0, len(full.A) // 2, len(full.A) - 1)]
+    ok, times = inprocess.classify_oracle(full, sample, 5, 100)
+    assert ok is True and len(times) == 3
 
 
 def test_the_store_oracle_accepts_a_saved_trace_cache(monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -15,7 +16,7 @@ from ellstab.class_numbers import (
 )
 from ellstab.errors import InvalidDiscriminant, OutOfHasseRange
 from ellstab.matgroup import delta_density
-from ellstab.primes import primes_up_to
+from ellstab.primes import MAX_ELL, is_prime, primes_up_to
 from ellstab.traces import batch_trace_census
 from record_helpers import fraction_rows
 
@@ -108,6 +109,41 @@ def test_sweep_rows_equal_the_fraction_rows_at_2000(ell):
     rows, expected = fraction_rows(partial_sum_sweep(ell, 2000)), sweep_by_scalar_hurwitz(ell, 2000)
     assert [row[:5] for row in rows] == [row[:5] for row in expected]
     assert [row[5].hex() for row in rows] == [row[5].hex() for row in expected]
+
+
+@pytest.mark.parametrize("ell", [11, 101, 1009])
+def test_sweep_main_and_err_follow_delta_density(ell):
+    # main = 2 delta(t, p mod ell, ell) p, err = |S - main| / (ell sqrt p) as Fractions would give
+    for p, d, t, s, main, err in fraction_rows(partial_sum_sweep(ell, 60)):
+        assert main == 2 * delta_density(t, d, ell) * p
+        assert err.hex() == (abs(float(s - main)) / (ell * p**0.5)).hex()
+
+
+def test_sweep_memory_grows_with_its_rows_not_with_ell_squared():
+    # the ell^2 densities of every (t, d) are never built: about 53 bytes a row beside the table
+    ell, bound = 1009, 100
+    tracemalloc.start()
+    try:
+        rows = len(partial_sum_sweep(ell, bound).p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 23 * ell
+    assert peak < 64 * rows + 8 * (4 * bound + 1) + (1 << 16)
+
+
+def test_max_ell_keeps_err_one_exact_division_at_every_prime_bound():
+    # the largest prime with 12 p ell^2 < 2^53 for every traced prime p
+    assert is_prime(MAX_ELL)
+    assert 12 * traces.MAX_TRACE_PRIME * MAX_ELL**2 < 2**53
+    next_prime = next(q for q in range(MAX_ELL + 1, 2 * MAX_ELL) if is_prime(q))
+    assert 12 * traces.MAX_TRACE_PRIME * next_prime**2 >= 2**53
+
+
+def test_sweep_row_limit_admits_ell_5_and_7_at_the_largest_prime_bound():
+    # hurwitz --ell 18917 --prime-bound 2097151 is refused (tests/test_cli.py); these are not
+    for ell in (5, 7):
+        assert ell * len(traces.good_primes(1, traces.MAX_TRACE_PRIME, ell)) <= class_numbers.MAX_SWEEP_ROWS
 
 
 def test_deuring_examples():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ellstab
-from ellstab import class_numbers, cli, sieve_stats, traces
+from ellstab import class_numbers, cli, primes, sieve_stats, traces
 from ellstab.cli import main
 from ellstab.curves import discriminant, enumerate_curves
 from ellstab.primes import primes_up_to
@@ -242,6 +242,8 @@ def test_hurwitz_subcommand(capsys):
         ("5", "-5", "prime bound must be in [5, "),
         ("5", "3", "prime bound must be in [5, "),
         ("5", str(traces.MAX_TRACE_PRIME + 1), "prime bound must be in [5, "),
+        ("18919", "100", "ell must be <= 18917, got 18919"),
+        ("18917", str(traces.MAX_TRACE_PRIME), "summing 18917 residues at 155608 primes fills "),
     ],
 )
 def test_bad_hurwitz_input_exits_2_before_any_table(capsys, monkeypatch, ell, bound, message):
@@ -372,6 +374,9 @@ HUGE_BOX = ("ValueError: the height-100000 box has 39960256524727810750988628 cu
             "more than 10000000")
 TRACE_CELLS = ("ValueError: tracing 401782 curves below 1000 fills 66294030 cells, "
                f"more than {traces.MAX_TRACE_CELLS}")
+BIG_ELL = f"ValueError: ell must be <= {primes.MAX_ELL}, got"
+SWEEP_ROWS = (f"ValueError: summing {primes.MAX_ELL} residues at 155608 primes fills "
+              f"{155608 * primes.MAX_ELL} rows, more than {class_numbers.MAX_SWEEP_ROWS}")
 CURVE = ("--A", "-1", "--B", "-1")
 SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "100", "--seed", "1")
 
@@ -439,6 +444,20 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
         pytest.param(("countcheck", "--X-list", str(10**18)),
                      f"ValueError: height bound X must be <= {10**12}, got {10**18}",
                      id="countcheck-X-10^18"),
+        pytest.param(("image", "--A", "1", "--B", "1", "--ell", "1000000007", "--prime-bound", "10"),
+                     f"{BIG_ELL} 1000000007", id="image-curve-ell-1000000007"),
+        pytest.param(("image", "--X", "2", "--ell", "1000000007", "--prime-bound", "100"),
+                     f"{BIG_ELL} 1000000007", id="image-box-ell-1000000007"),
+        pytest.param(("sieve", *SIEVE, "--ell", "1000000007"), f"{BIG_ELL} 1000000007",
+                     id="sieve-ell-1000000007"),
+        pytest.param(("delta", "--ell", "1000000007"), f"{BIG_ELL} 1000000007",
+                     id="delta-ell-1000000007"),
+        pytest.param(("decay", *CURVE, "--X-list", "2", "--ell", "1000000007", "--prime-bound", "60"),
+                     f"{BIG_ELL} 1000000007", id="decay-ell-1000000007"),
+        pytest.param(("hurwitz", "--ell", "2097143", "--prime-bound", "10"), f"{BIG_ELL} 2097143",
+                     id="hurwitz-ell-2097143"),
+        pytest.param(("hurwitz", "--ell", str(primes.MAX_ELL), "--prime-bound", str(traces.MAX_TRACE_PRIME)),
+                     SWEEP_ROWS, id="hurwitz-ell-18917-bound-2097151"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_and_no_output(capsys, argv, message):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import combinations
 from math import gcd
 
@@ -23,7 +24,7 @@ from ellstab.galois_image import (
 )
 from ellstab.class_numbers import hurwitz_partial_sum, partial_sum_sweep
 from ellstab.matgroup import delta_density
-from ellstab.primes import unit_logs
+from ellstab.primes import MAX_ELL, unit_logs
 from ellstab.sieve_stats import t_A_density_curve, variance_stat
 from ellstab.traces import frobenius_trace, trace_table
 
@@ -180,8 +181,10 @@ def test_sweep_matches_classify_image_across_both_trace_sources(ell, monkeypatch
     assert 0 < res.proven < res.total
 
 
-@pytest.mark.parametrize("ell", [-5, 0, 1, 3, 4, 9, 25])
+@pytest.mark.parametrize("ell", [-5, 0, 1, 3, 4, 9, 25, MAX_ELL + 2, 1_000_000_007])
 def test_bad_ell_is_rejected_everywhere(ell):
+    # an ell above MAX_ELL is refused before its tables mod ell are built
+    message = f"ell must be <= {MAX_ELL}, got {ell}" if ell > MAX_ELL else f"ell must be a prime >= 5, got {ell}"
     c = CurveModel(1, 1)
     calls = [
         lambda: classify_image(c, ell, 100),
@@ -196,7 +199,7 @@ def test_bad_ell_is_rejected_everywhere(ell):
         lambda: partial_sum_sweep(ell, 100),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="prime >= 5"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 
