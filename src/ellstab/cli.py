@@ -104,9 +104,9 @@ def cmd_image(args) -> int:
         print(
             json.dumps(
                 {
-                    "X": res.X,
-                    "ell": res.ell,
-                    "prime_bound": res.bound,
+                    "X": args.X,
+                    "ell": args.ell,
+                    "prime_bound": args.prime_bound,
                     "total": res.total,
                     "proven": res.proven,
                     "fraction": round(res.fraction, 6),
@@ -134,14 +134,15 @@ def cmd_image(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    stability.check_box_curves(args.X)
+    total = stability.check_box_curves(args.X)
+    stability.full_image_conditions(args.ell)  # bad ell and bound refused before the box
+    check_prime_bound(args.prime_bound)
     K = FieldSpec(args.degree, args.closure_degree)
     ranks = ingest.load_rank_csv(args.ranks).ranks if args.ranks else {}
-    curves = list(enumerate_curves(args.X))
     rank1_ds = 0
     members = 0
     satisfied = 0
-    for c in curves:
+    for c in enumerate_curves(args.X):
         rep = stability.check_ds(c, K, args.ell, args.prime_bound)
         if rep.t_kl == galois_image.MEMBER:
             members += 1
@@ -164,7 +165,7 @@ def cmd_stability(args) -> int:
         )
     print(
         f"X,ell,members,ds_satisfied,rank1_ds,total\n"
-        f"{args.X},{args.ell},{members},{satisfied},{rank1_ds},{len(curves)}",
+        f"{args.X},{args.ell},{members},{satisfied},{rank1_ds},{total}",
         file=sys.stderr,
     )
     if args.ranks:

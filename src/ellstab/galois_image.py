@@ -14,7 +14,7 @@ from math import gcd
 import numpy as np
 
 from .curves import CurveModel, curve_box, discriminant
-from .primes import check_ell, legendre_table, unit_logs
+from .primes import check_ell, legendre_table, unit_group
 from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
@@ -84,7 +84,7 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
     """
     check_ell(ell)
     check_prime_bound(bound)
-    log = unit_logs(ell)
+    log = unit_group(ell)[1]
     w: dict = {"split": None, "nonsplit": None, "exceptional": None, "det": {}}
     g = ell - 1
     for p in good_primes(discriminant(c), bound, ell):
@@ -136,9 +136,6 @@ def t_A_proxy_member(e: CurveModel, a: CurveModel, ell: int, bound: int) -> bool
 
 @dataclass
 class SweepResult:
-    X: int
-    ell: int
-    bound: int
     total: int
     proven: int
     proven_mask: np.ndarray = field(repr=False)
@@ -185,7 +182,7 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     check_prime_bound(bound)
     A, B = curve_box(X)
     n = len(A)
-    log = unit_logs(ell)
+    log = unit_group(ell)[1]
     proven = np.zeros(n, dtype=bool)
     surv = np.flatnonzero(~_has_cm(A, B))
     flags = np.zeros((3, len(surv)), dtype=bool)
@@ -201,4 +198,4 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
         surv, flags, g = surv[keep], flags[:, keep], g[keep]
         if not len(surv):
             break
-    return SweepResult(X, ell, bound, n, int(proven.sum()), proven, A, B)
+    return SweepResult(n, int(proven.sum()), proven, A, B)

@@ -8,7 +8,7 @@ searches) a finite exact computation.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded
@@ -91,18 +91,32 @@ def count_trace_det(t: int, d: int, ell: int) -> int:
 class MatGroup:
     ell: int
     generators: tuple[Mat2, ...]
-    elements: tuple[Mat2, ...]  # sorted lexicographically
+    elements: frozenset[Mat2]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: Mat2) -> bool:
-        return g in self._element_set
+        return g in self.elements
 
-    @cached_property
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
+
+def _closure(step) -> dict:
+    """Breadth-first walk from the identity, where step(x) lists the neighbours of x.
+
+    Returns the spanning tree {y: (x, i)} with y = step(x)[i], keyed in
+    breadth-first order, the identity mapping to None.  Raises BudgetExceeded
+    past MAX_GROUP_ORDER elements.
+    """
+    tree, queue = {identity(): None}, [identity()]
+    for x in queue:
+        for i, y in enumerate(step(x)):
+            if y not in tree:
+                if len(tree) >= MAX_GROUP_ORDER:
+                    raise BudgetExceeded(f"closure exceeds budget {MAX_GROUP_ORDER}")
+                tree[y] = (x, i)
+                queue.append(y)
+    return tree
 
 
 def generate_subgroup(gens: list[Mat2] | tuple[Mat2, ...], ell: int) -> MatGroup:
@@ -113,20 +127,7 @@ def generate_subgroup(gens: list[Mat2] | tuple[Mat2, ...], ell: int) -> MatGroup
     for g in gens:
         if mat_det(g, ell) == 0:
             raise ValueError(f"generator {g} is not invertible mod {ell}")
-    seen = {identity()}
-    frontier = [identity()]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = mat_mul(g, h, ell)
-                if gh not in seen:
-                    if len(seen) >= MAX_GROUP_ORDER:
-                        raise BudgetExceeded(f"closure exceeds budget {MAX_GROUP_ORDER}")
-                    seen.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
-    return MatGroup(ell, gens, tuple(sorted(seen)))
+    return MatGroup(ell, gens, frozenset(_closure(lambda x: [mat_mul(x, h, ell) for h in gens])))
 
 
 def sl2_generators(ell: int) -> list[Mat2]:
@@ -189,51 +190,37 @@ def _h1_by_cocycles(G: MatGroup) -> bool:
         raise BudgetExceeded(f"cocycle solver limited to |G| <= {H1_BUDGET}")
     ell = G.ell
     gens = G.generators
-    k = len(gens)
-    if k == 0:
-        return True
-    ncols = 2 * k
+    ncols = 2 * len(gens)
 
-    # c(g) as a 2 x 2k matrix of coefficients in the unknowns c(g_1)..c(g_k)
-    exprs: dict[Mat2, list[list[int]]] = {identity(): [[0] * ncols, [0] * ncols]}
-    constraints: list[list[int]] = []
-    frontier = [identity()]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            eg = exprs[g]
-            for i, h in enumerate(gens):
-                gh = mat_mul(g, h, ell)
-                # c(gh) = c(g) + g * c(g_i)
-                a, b, c, d = g
-                cand = [list(eg[0]), list(eg[1])]
-                cand[0][2 * i] = (cand[0][2 * i] + a) % ell
-                cand[0][2 * i + 1] = (cand[0][2 * i + 1] + b) % ell
-                cand[1][2 * i] = (cand[1][2 * i] + c) % ell
-                cand[1][2 * i + 1] = (cand[1][2 * i + 1] + d) % ell
-                if gh not in exprs:
-                    exprs[gh] = cand
-                    nxt.append(gh)
-                else:
-                    old = exprs[gh]
-                    for r in range(2):
-                        constraints.append(
-                            [(x - y) % ell for x, y in zip(cand[r], old[r])]
-                        )
-        frontier = nxt
+    # c(g) as a 2 x 2k matrix of coefficients in the unknowns c(g_1)..c(g_k) of
+    # the k generators, built along the closure's tree; every edge x -> x g_i
+    # then asks that c(x g_i) = c(x) + x c(g_i)
+    def extend(x: Mat2, i: int) -> list[list[int]]:
+        rows = [list(r) for r in exprs[x]]
+        for r in range(2):
+            rows[r][2 * i] = (rows[r][2 * i] + x[2 * r]) % ell
+            rows[r][2 * i + 1] = (rows[r][2 * i + 1] + x[2 * r + 1]) % ell
+        return rows
+
+    step = lambda x: [mat_mul(x, h, ell) for h in gens]  # noqa: E731
+    tree = _closure(step)
+    exprs: dict[Mat2, list[list[int]]] = {}
+    for y, edge in tree.items():  # a parent comes before its children
+        exprs[y] = extend(*edge) if edge else [[0] * ncols, [0] * ncols]
+    constraints = [[(u - v) % ell for u, v in zip(new, old)]
+                   for x in tree for i, y in enumerate(step(x))
+                   for new, old in zip(extend(x, i), exprs[y])]
 
     rank = len(_row_reduce_basis(constraints, ell))
     dim_z1 = ncols - rank
 
-    # B^1 is the image of v -> ((g-1)v); its dimension is 2 - dim of the fixed space
+    # B^1 is the image of v -> ((g_i - 1)v)_i: the rank of the g_i - 1 stacked
     fixed_rows = []
     for g in gens:
         a, b, c, d = g
         fixed_rows.append([(a - 1) % ell, b])
         fixed_rows.append([c, (d - 1) % ell])
-    dim_fixed = 2 - len(_row_reduce_basis(fixed_rows, ell))
-    dim_b1 = 2 - dim_fixed
-    return dim_z1 == dim_b1
+    return dim_z1 == len(_row_reduce_basis(fixed_rows, ell))
 
 
 def h1_vanishes(G: MatGroup, method: str = "auto") -> bool:
@@ -263,23 +250,15 @@ def no_abelian_ell_quotient(H: MatGroup) -> bool:
     pairs = [(g, mat_inv(g, ell)) for g in H.generators]
     comms = [mat_mul(mat_mul(g, h, ell), mat_mul(gi, hi, ell), ell)
              for g, gi in pairs for h, hi in pairs]
-    derived, frontier = {identity()}, [identity()]
-    while frontier:
-        frontier = {
-            y
-            for x in frontier
-            for y in [mat_mul(x, c, ell) for c in comms]
-            + [mat_mul(mat_mul(g, x, ell), gi, ell) for g, gi in pairs]
-            if y not in derived
-        }
-        derived |= frontier
+    derived = _closure(lambda x: [mat_mul(x, c, ell) for c in comms]
+                       + [mat_mul(mat_mul(g, x, ell), gi, ell) for g, gi in pairs])
     return H.order // len(derived) % ell != 0
 
 
 def find_tau0(H: MatGroup) -> Mat2 | None:
     """First element (lexicographic) with 1 not an eigenvalue, or None."""
     ell = H.ell
-    for g in H.elements:
+    for g in sorted(H.elements):
         a, b, c, d = g
         if ((a - 1) * (d - 1) - b * c) % ell != 0:
             return g
@@ -289,7 +268,7 @@ def find_tau0(H: MatGroup) -> Mat2 | None:
 def find_tau1(H: MatGroup) -> Mat2 | None:
     """First element with rank(g - 1) = 1, or None."""
     ell = H.ell
-    for g in H.elements:
+    for g in sorted(H.elements):
         a, b, c, d = g
         m = ((a - 1) % ell, b % ell, c % ell, (d - 1) % ell)
         det = (m[0] * m[3] - m[1] * m[2]) % ell

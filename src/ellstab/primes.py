@@ -104,27 +104,22 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-def unit_group(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(power, log) int32 tables of (Z/p)^x for the prime p and its least primitive root g.
+@ByteLRU
+def unit_group(p: int) -> np.ndarray:
+    """(power, log): a (2, p) int32 table of (Z/p)^x for the prime p and its least primitive root g.
 
-    power[k] = g^k for 0 <= k < p - 1, filled by doubling; log[d] = k with
-    g^k = d for each unit d, and log[0] = 0.  Units d_1, d_2, ... generate
-    (Z/p)^x iff gcd(p - 1, log d_1, ...) = 1.
+    power[k] = g^k for 0 <= k < p, filled by doubling (so power[p - 1] = 1);
+    log[d] = k with g^k = d for each unit d, and log[0] = 0.  Units d_1, d_2,
+    ... generate (Z/p)^x iff gcd(p - 1, log d_1, ...) = 1.
     """
     g = primitive_root(p)
-    power = np.empty(p - 1, dtype=np.int64)
-    power[0] = 1
+    power = np.ones(p, dtype=np.int64)
     done = 1
     while done < p - 1:
         step = min(done, p - 1 - done)
         power[done:done + step] = power[:step] * pow(g, done, p) % p
         done += step
-    log = np.zeros(p, dtype=np.int32)
-    log[power] = np.arange(p - 1, dtype=np.int32)
-    return power.astype(np.int32), log
-
-
-@ByteLRU
-def unit_logs(p: int) -> np.ndarray:
-    """The log table of unit_group(p), cached for the few moduli ell a run uses."""
-    return unit_group(p)[1]
+    table = np.zeros((2, p), dtype=np.int32)
+    table[0] = power
+    table[1, power[:-1]] = np.arange(p - 1)
+    return table

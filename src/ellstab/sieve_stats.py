@@ -76,10 +76,6 @@ def pi_pair(
 @dataclass(frozen=True)
 class SieveStat:
     X: int
-    t1: int
-    t2: int
-    d: int
-    ell: int
     delta: Fraction
     pi: int
     num_pairs: int
@@ -168,7 +164,7 @@ def variance_stat(
         - 2 * mean * Fraction(sum_k, num_pairs)
         + mean * mean
     )
-    return SieveStat(X, t1, t2, d, ell, delta, pi, num_pairs, exhaustive, v)
+    return SieveStat(X, delta, pi, num_pairs, exhaustive, v)
 
 
 def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
@@ -238,8 +234,10 @@ def t_A_density_curve(
     if bound < 50:
         raise ValueError("prime bound must be >= 50")
     X_values = list(X_values)
-    if max(X_values, default=0) > MAX_DECAY_HEIGHT:
-        raise ValueError(f"height bound X must be <= {MAX_DECAY_HEIGHT}, got {max(X_values)}")
+    for X in X_values:  # every X before the first ratio
+        check_countable(X)
+        if X > MAX_DECAY_HEIGHT:
+            raise ValueError(f"height bound X must be <= {MAX_DECAY_HEIGHT}, got {X}")
     return [(X, t_A_proxy_ratio(a, X, ell, bound)) for X in X_values]
 
 

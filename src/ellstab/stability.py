@@ -41,7 +41,9 @@ class StabilityReport:
 
 @lru_cache(maxsize=8)
 def full_image_conditions(ell: int) -> tuple[bool, bool, bool, bool, bool]:
-    """The five criterion flags evaluated on G = GL2(F_ell), H = SL2(F_ell)."""
+    """The five criterion flags on GL2(F_ell) and SL2(F_ell); ValueError unless ell is checkable."""
+    if ell not in _CHECKABLE_ELLS:
+        raise ValueError(f"ell must be one of {_CHECKABLE_ELLS}")
     G = full_gl2(ell)
     H = full_sl2(ell)
     return (
@@ -65,10 +67,8 @@ def check_box_curves(X: int) -> int:
 
 def check_ds(c: CurveModel, K: FieldSpec, ell: int, bound: int) -> StabilityReport:
     """Evaluate the full stability criterion for one curve."""
-    if ell not in _CHECKABLE_ELLS:
-        raise ValueError(f"ell must be one of {_CHECKABLE_ELLS}")
+    flags = full_image_conditions(ell)  # refuses an unsupported ell before any trace
     t_kl = t_kl_member(c, ell, K, bound)
-    flags = full_image_conditions(ell)
     verdict = SATISFIED if (t_kl == MEMBER and all(flags)) else UNDETERMINED
     return StabilityReport(t_kl, flags, verdict)
 

@@ -90,3 +90,27 @@ def test_per_curve_outputs_match_the_golden_digests(monkeypatch, capsys, tmp_pat
         assert hashlib.sha256(out.out.encode()).hexdigest() == golden["stdout_sha256"][cmd.key], cmd.key
         if cmd.check_stderr:
             assert hashlib.sha256(out.err.encode()).hexdigest() == golden["stderr_sha256"][cmd.key], cmd.key
+
+
+def test_the_traced_commands_record_every_span_and_hot_function(monkeypatch, tmp_path):
+    # every per_curve and box_stats command, replayed in-process under the
+    # benchmark's wrappers as the traced run does; a refactor that stops calling
+    # a traced function (stability.check_ds, say) fails here, not only in --trace 1
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inprocess = importlib.import_module("inprocess")
+    workloads = importlib.import_module("workloads")
+    seed, ranks_csv = json.loads((PERFBENCH / "golden.json").read_text())["seed"], tmp_path / "ranks.csv"
+    inp = workloads.Inputs(seed, ranks_csv, tmp_path / "traces.etrc",
+                           workloads.write_rank_csv(seed, ranks_csv))
+    tracer = inprocess.Tracer("bindings")
+    try:
+        assert inprocess.install(tracer, inprocess.Record()) == []
+        for make in workloads.WORKLOADS.values():
+            for cmd in make(inp):
+                for clear in inprocess.package_caches():
+                    clear()
+                assert inprocess.run_cli(cmd.argv)[0] == 0, cmd.key
+    finally:
+        tracer.uninstall()
+    assert set(inprocess.SPAN_METRICS.values()) <= {span.name for span in tracer.spans}
+    assert set(inprocess.HOT_METRICS.values()) <= set(tracer.hot)

@@ -428,6 +428,8 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                      id="trace-X-40"),
         pytest.param(("decay", *CURVE, "--X-list", "5,818", "--ell", "5", "--prime-bound", "100"),
                      "ValueError: height bound X must be <= 817, got 818", id="decay-X-818"),
+        pytest.param(("decay", *CURVE, "--X-list", "20,0", "--ell", "5", "--prime-bound", "100"),
+                     BAD_HEIGHT, id="decay-X-20,0"),
         pytest.param(("trace", "--X", "10", "--ell", "5", "--prime-bound", "1000"), TRACE_CELLS,
                      id="trace-X-10-bound-1000"),
         pytest.param(("stability", "--X", "12", "--ell", "13", "--prime-bound", "1000",
@@ -491,6 +493,30 @@ def test_decay_refuses_a_height_past_int64_before_any_trace(capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert err == "ValueError: height bound X must be <= 817, got 818\n"
+    assert calls == []
+
+
+def test_decay_checks_every_height_before_any_count(capsys, monkeypatch):
+    # X = 20's ratio was once computed before X = 0 was refused
+    calls = []
+    monkeypatch.setattr(sieve_stats, "count_curves", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "decay", *CURVE, "--X-list", "20,0", "--ell", "5",
+                         "--prime-bound", "100")
+    assert (code, out, err) == (2, "", BAD_HEIGHT + "\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("ell, bound, message", [
+    ("17", "1000", "ValueError: ell must be one of (5, 7, 11, 13)"),
+    ("5", "3", f"{BOUND_RANGE} 3"),
+])
+def test_stability_refuses_a_bad_ell_or_bound_before_the_box(capsys, monkeypatch, ell, bound, message):
+    # the X = 7 box (67,930 curves) was once built before the refusal
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_curves", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "stability", "--X", "7", "--ell", ell, "--prime-bound", bound,
+                         "--degree", "2")
+    assert (code, out, err) == (2, "", message + "\n")
     assert calls == []
 
 

@@ -24,7 +24,7 @@ from ellstab.galois_image import (
 )
 from ellstab.class_numbers import hurwitz_partial_sum, partial_sum_sweep
 from ellstab.matgroup import delta_density
-from ellstab.primes import MAX_ELL, unit_logs
+from ellstab.primes import MAX_ELL, unit_group
 from ellstab.sieve_stats import t_A_density_curve, variance_stat
 from ellstab.traces import frobenius_trace, trace_table
 
@@ -137,7 +137,7 @@ def _generates_units_by_closure(ds, ell):
 
 
 def _generates_units_by_logs(ds, ell):
-    log = unit_logs(ell)
+    log = unit_group(ell)[1]
     g = ell - 1
     for d in ds:
         g = gcd(g, log[d])

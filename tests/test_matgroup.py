@@ -97,6 +97,29 @@ def test_h1_methods_agree_on_random_subgroups():
         checked += 1
 
 
+@pytest.mark.parametrize("ell, solved", [(5, 68), (7, 58)])
+def test_h1_vanishes_on_every_subgroup_of_order_prime_to_ell(ell, solved):
+    # an oracle sharing no code with the solver: when ell does not divide |G|,
+    # cor o res = |G| is invertible, so H^1(G, F_ell^2) embeds in H^1(1, F_ell^2) = 0.
+    # `solved` of the coprime draws lack -1, so the auto method answers by the solver too
+    rng = random.Random(ell)
+    coprime_without_minus_one = 0
+    for _ in range(400):
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            g = (0, 0, 0, 0)
+            while not mat_det(g, ell):
+                g = tuple(rng.randrange(ell) for _ in range(4))
+            gens.append(g)
+        G = generate_subgroup(gens, ell)
+        if G.order % ell == 0:
+            continue
+        assert h1_vanishes(G, method="cocycle") is True, gens
+        assert h1_vanishes(G) is True, gens
+        coprime_without_minus_one += (ell - 1, 0, 0, ell - 1) not in G
+    assert coprime_without_minus_one == solved
+
+
 def test_no_abelian_ell_quotient():
     assert no_abelian_ell_quotient(full_sl2(5)) is True
     assert no_abelian_ell_quotient(generate_subgroup([(1, 1, 0, 1)], 5)) is False
