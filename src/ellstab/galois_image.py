@@ -43,6 +43,8 @@ class FieldSpec:
         if self.n < 1:
             raise ValueError("field degree must be >= 1")
         g = self.galois_closure_degree
+        if g is not None and g < self.n:
+            raise ValueError(f"galois closure degree must be >= n = {self.n}, got {g}")
         if g is not None and (g % self.n != 0):
             raise ValueError("galois closure degree must be divisible by n")
 
@@ -148,35 +150,21 @@ class SweepResult:
 
 
 def _has_cm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact mask of the curves whose j = 6912A^3/(4A^3 + 27B^2) is in CM_J.
-
-    j = 0 or 1728 iff A = 0 or B = 0; any other j0 iff 27 j0 B^2 =
-    4(1728 - j0) A^3.  A float screen of A^3/B^2 against 27 j0/(4(1728 - j0))
-    picks the candidates, and Python ints confirm each one.
-    """
-    cm = (A == 0) | (B == 0)
-    a, b = A.astype(float), B.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = a * a * a / (b * b)
-    near = np.zeros(len(A), dtype=bool)
-    for j in CM_J[2:]:
-        target = 27 * j / (4 * (1728 - j))
-        near |= np.abs(ratio - target) <= 1e-9 * abs(target)
-    for i in np.flatnonzero(near & ~cm).tolist():
-        a, b = int(A[i]), int(B[i])
-        cm[i] = any(27 * j * b * b == 4 * (1728 - j) * a**3 for j in CM_J[2:])
-    return cm
+    """Exact mask of the curves whose j = 6912A^3/(4A^3 + 27B^2) is in CM_J
+    (int64 holds 6912A^3 up to X = 331, far past any box curve_box builds)."""
+    num, den = 6912 * A**3, 4 * A**3 + 27 * B * B
+    return (num % den == 0) & np.isin(num // den, CM_J)
 
 
 def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     """classify_image verdicts for every curve in the height-X box.
 
-    Curves with CM are never proven: their image lies in a Cartan normalizer,
-    so no prime gives them both a split and a nonsplit witness.  They are left
-    out before the first prime.  Then one pass over the primes, on the curves
-    not yet proven: a curve is dropped after the prime that completes its
-    witnesses.  The determinant test keeps one running gcd per curve (it
-    divides ell - 1, so int32 holds it).
+    One pass over the primes, on the curves not yet proven: a curve is dropped
+    after the prime that completes its witnesses.  The determinant test keeps
+    one running gcd per curve (it divides ell - 1, so int32 holds it).  CM
+    curves are never proven (their image lies in a Cartan normalizer, so no
+    prime gives both a split and a nonsplit witness); they are dropped once, at
+    the first p with p^2 > len(survivors), where the census table stops serving.
     """
     check_ell(ell)
     check_prime_bound(bound)
@@ -184,12 +172,16 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     n = len(A)
     log = unit_group(ell)[1]
     proven = np.zeros(n, dtype=bool)
-    surv = np.flatnonzero(~_has_cm(A, B))
-    flags = np.zeros((3, len(surv)), dtype=bool)
-    g = np.full(len(surv), ell - 1, dtype=np.int32)
+    surv = np.arange(n)
+    flags = np.zeros((3, n), dtype=bool)
+    g = np.full(n, ell - 1, dtype=np.int32)
+    cm_dropped = False
     # disc 1 keeps every prime; a curve's own bad primes read as trace 0 (not
     # good), which flags nothing and adds no det
     for p in good_primes(1, bound, ell):
+        if not cm_dropped and p * p > len(surv):
+            keep, cm_dropped = ~_has_cm(A[surv], B[surv]), True
+            surv, flags, g = surv[keep], flags[:, keep], g[keep]
         t, good = curve_traces(A[surv], B[surv], p)
         flags |= _witnesses(t, p % ell, ell)
         g[good] = np.gcd(g[good], log[p % ell])

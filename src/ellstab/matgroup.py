@@ -1,15 +1,16 @@
 """Exact finite group theory in GL2(F_ell).
 
-Matrices are tuples (a, b, c, d) of residues mod ell, row-major.  Subgroups
-are enumerated explicitly by breadth-first closure, which keeps every
-predicate (irreducibility, cohomology, commutator quotients, element
-searches) a finite exact computation.
+Matrices are tuples (a, b, c, d) of residues mod ell, row-major.  GL2(F_ell)
+and SL2(F_ell) are enumerated by their determinant, other subgroups by
+breadth-first closure, which keeps every predicate (irreducibility,
+cohomology, commutator quotients, element searches) a finite exact computation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+
+import numpy as np
 
 from .errors import BudgetExceeded
 from .primes import check_ell, check_unit, is_prime, legendre_table, primitive_root
@@ -67,24 +68,29 @@ def delta_density(t: int, d: int, ell: int) -> Fraction:
     return Fraction(ell + chi, ell * ell - 1)
 
 
+def _gl2(ell: int) -> np.ndarray:
+    """GL2(F_ell) by definition: the columns (a, b, c, d) with ad - bc != 0 mod ell,
+    refused before any enumeration past MAX_GROUP_ORDER (int16 holds ad - bc up to
+    ell = 181, far past the ell = 13 that the budget admits)."""
+    if not is_prime(ell):
+        raise ValueError("ell must be prime")
+    if gl2_order(ell) > MAX_GROUP_ORDER:
+        raise BudgetExceeded("exhaustive GL2 enumeration limited to ell <= 13")
+    a, b, c, d = m = np.indices((ell,) * 4, dtype=np.int16).reshape(4, -1)
+    return m[:, (a * d - b * c) % ell != 0]
+
+
 @lru_cache(maxsize=8)
-def _trace_det_counts(ell: int) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for g in product(range(ell), repeat=4):
-        det = (g[0] * g[3] - g[1] * g[2]) % ell
-        if det == 0:
-            continue
-        key = ((g[0] + g[3]) % ell, det)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _trace_det_counts(ell: int) -> np.ndarray:
+    """counts[t * ell + d] = #{g in GL2(F_ell): tr g = t, det g = d}."""
+    a, b, c, d = _gl2(ell)
+    return np.bincount((a + d) % ell * ell + (a * d - b * c) % ell, minlength=ell * ell)
 
 
 def count_trace_det(t: int, d: int, ell: int) -> int:
     """Exhaustive #{g in GL2(F_ell): tr g = t, det g = d}; oracle for delta_density."""
-    if ell > 13:
-        raise BudgetExceeded("exhaustive GL2 enumeration limited to ell <= 13")
     check_unit(d, ell)
-    return _trace_det_counts(ell).get((t % ell, d % ell), 0)
+    return int(_trace_det_counts(ell)[t % ell * ell + d % ell])
 
 
 @dataclass(frozen=True)
@@ -141,12 +147,13 @@ def gl2_generators(ell: int) -> list[Mat2]:
 
 @lru_cache(maxsize=8)
 def full_gl2(ell: int) -> MatGroup:
-    return generate_subgroup(gl2_generators(ell), ell)
+    return MatGroup(ell, tuple(gl2_generators(ell)), frozenset(zip(*_gl2(ell).tolist())))
 
 
 @lru_cache(maxsize=8)
 def full_sl2(ell: int) -> MatGroup:
-    return generate_subgroup(sl2_generators(ell), ell)
+    return MatGroup(ell, tuple(sl2_generators(ell)), frozenset(
+        g for g in full_gl2(ell).elements if (g[0] * g[3] - g[1] * g[2]) % ell == 1))
 
 
 def is_irreducible(G: MatGroup) -> bool:
@@ -223,20 +230,13 @@ def _h1_by_cocycles(G: MatGroup) -> bool:
     return dim_z1 == len(_row_reduce_basis(fixed_rows, ell))
 
 
-def h1_vanishes(G: MatGroup, method: str = "auto") -> bool:
+def h1_vanishes(G: MatGroup) -> bool:
     """True iff H^1(G, F_ell^2) = 0 for the standard action.
 
-    method="auto" short-circuits when -1 is in G (restriction to the order-2
-    subgroup kills both the fixed space and the cohomology); method="cocycle"
-    forces the direct linear-algebra solver.
+    True at once when -1 is in G (restriction to the order-2 subgroup kills
+    both the fixed space and the cohomology), else _h1_by_cocycles decides.
     """
-    if method not in ("auto", "cocycle"):
-        raise ValueError(f"unknown method {method!r}")
-    ell = G.ell
-    minus_one = (ell - 1, 0, 0, ell - 1)
-    if method == "auto" and minus_one in G:
-        return True
-    return _h1_by_cocycles(G)
+    return (G.ell - 1, 0, 0, G.ell - 1) in G or _h1_by_cocycles(G)
 
 
 def no_abelian_ell_quotient(H: MatGroup) -> bool:
@@ -255,23 +255,18 @@ def no_abelian_ell_quotient(H: MatGroup) -> bool:
     return H.order // len(derived) % ell != 0
 
 
+def _det_minus_one(g: Mat2, ell: int) -> int:
+    """det(g - 1) mod ell: zero iff 1 is an eigenvalue of g."""
+    a, b, c, d = g
+    return ((a - 1) * (d - 1) - b * c) % ell
+
+
 def find_tau0(H: MatGroup) -> Mat2 | None:
     """First element (lexicographic) with 1 not an eigenvalue, or None."""
-    ell = H.ell
-    for g in sorted(H.elements):
-        a, b, c, d = g
-        if ((a - 1) * (d - 1) - b * c) % ell != 0:
-            return g
-    return None
+    return next((g for g in sorted(H.elements) if _det_minus_one(g, H.ell)), None)
 
 
 def find_tau1(H: MatGroup) -> Mat2 | None:
-    """First element with rank(g - 1) = 1, or None."""
-    ell = H.ell
-    for g in sorted(H.elements):
-        a, b, c, d = g
-        m = ((a - 1) % ell, b % ell, c % ell, (d - 1) % ell)
-        det = (m[0] * m[3] - m[1] * m[2]) % ell
-        if det == 0 and any(m):
-            return g
-    return None
+    """First element (lexicographic) with rank(g - 1) = 1, or None."""
+    return next((g for g in sorted(H.elements)
+                 if g != identity() and not _det_minus_one(g, H.ell)), None)

@@ -21,6 +21,7 @@ from ellstab.galois_image import (
 )
 from ellstab.ingest import load_rank_csv
 from ellstab.matgroup import (
+    _h1_by_cocycles,
     count_trace_det,
     delta_density,
     find_tau0,
@@ -114,9 +115,9 @@ def test_criterion_5_curve_counting():
 
 
 def test_criterion_6_cohomology_oracle():
-    ok = h1_vanishes(full_gl2(5)) and h1_vanishes(full_gl2(5), method="cocycle")
+    ok = h1_vanishes(full_gl2(5)) and _h1_by_cocycles(full_gl2(5))
     uni = generate_subgroup([(1, 1, 0, 1)], 5)
-    ok = ok and not h1_vanishes(uni, method="cocycle")
+    ok = ok and not _h1_by_cocycles(uni)
     rng = random.Random(20240317)
     checked = 0
     while checked < 20:
@@ -131,7 +132,7 @@ def test_criterion_6_cohomology_oracle():
         if not gens:
             continue
         G = generate_subgroup(gens, 5)
-        if h1_vanishes(G, method="auto") != h1_vanishes(G, method="cocycle"):
+        if h1_vanishes(G) != _h1_by_cocycles(G):
             ok = False
         checked += 1
     report(6, "H^1 fast path vs cocycle solver", ok)

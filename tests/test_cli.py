@@ -390,6 +390,18 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                      f"{BAD_ELL} 0", id="decay-ell-0"),
         pytest.param(("sieve", *SIEVE, "--ell", "0"), f"{BAD_ELL} 0", id="sieve-ell-0"),
         pytest.param(("sieve", *SIEVE, "--ell", "4"), f"{BAD_ELL} 4", id="sieve-ell-4"),
+        pytest.param(("sieve", "--X-list", "24", "--ell", "5", "--t1", "1", "--t2", "2", "--d", "1",
+                      "--samples", "99999999999999", "--seed", "1"),
+                     "ValueError: sample_size must be in [1, 10000000], got 99999999999999",
+                     id="sieve-samples-99999999999999"),
+        pytest.param(("stability", "--X", "1", "--ell", "13", "--prime-bound", "100", "--degree", "2",
+                      "--closure-degree", "0"),
+                     "ValueError: galois closure degree must be >= n = 2, got 0",
+                     id="stability-closure-degree-0"),
+        pytest.param(("stability", "--X", "1", "--ell", "13", "--prime-bound", "100", "--degree", "2",
+                      "--closure-degree", "-2"),
+                     "ValueError: galois closure degree must be >= n = 2, got -2",
+                     id="stability-closure-degree--2"),
         pytest.param(("image", "--A", "0", "--B", "1", "--ell", "5", "--prime-bound", "2097152"),
                      f"{BOUND_RANGE} 2097152", id="image-curve-bound-2097152"),
         pytest.param(("image", "--A", "0", "--B", "1", "--ell", "5", "--prime-bound", "3000000"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellstab import traces
+from ellstab import galois_image, traces
 from ellstab.curves import CurveModel, curve_box
 from ellstab.galois_image import (
     MEMBER,
@@ -249,6 +249,38 @@ def test_cm_curves_are_never_proven(ell):
     # witnesses only accumulate with the bound, so Undetermined at 1000 holds below it too
     for a, b in cm:
         assert classify_image(CurveModel(a, b), ell, 1000).status == UNDETERMINED
+
+
+def _spy_has_cm(monkeypatch) -> list[int]:
+    """The batch sizes of every _has_cm call that surjectivity_sweep makes."""
+    screened = []
+
+    def spy(A, B):
+        screened.append(len(A))
+        return _has_cm(A, B)
+
+    monkeypatch.setattr(galois_image, "_has_cm", spy)
+    return screened
+
+
+@pytest.mark.parametrize("X, ell, bound, proven", [
+    (3, 13, 1000, 968),
+    (6, 7, 1000, 31_062),
+    (8, 17, 1000, 130_926),
+    (10, 5, 1000, 399_560),
+    (3, 5, 7, 0),  # p = 7 alone: the census table serves every prime, so no CM step
+])
+def test_sweep_drops_cm_at_most_once_and_proves_the_pinned_counts(monkeypatch, X, ell, bound, proven):
+    screened = _spy_has_cm(monkeypatch)
+    assert surjectivity_sweep(X, ell, bound).proven == proven
+    assert len(screened) <= 1
+
+
+def test_sweep_tests_cm_once_on_the_survivors_not_the_box(monkeypatch):
+    # the X = 10 box holds 401,782 curves; CM is tested where the census table stops
+    screened = _spy_has_cm(monkeypatch)
+    surjectivity_sweep(10, 5, 1000)
+    assert len(screened) == 1 and screened[0] < 10_000
 
 
 @pytest.mark.parametrize("X, ell, total, proven, digest", [

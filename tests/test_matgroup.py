@@ -8,6 +8,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from ellstab import matgroup
 from ellstab.errors import BudgetExceeded
 from ellstab.matgroup import (
+    _h1_by_cocycles,
     count_trace_det,
     delta_density,
     find_tau0,
@@ -15,11 +16,13 @@ from ellstab.matgroup import (
     full_gl2,
     full_sl2,
     generate_subgroup,
+    gl2_generators,
     gl2_order,
     h1_vanishes,
     is_irreducible,
     mat_det,
     no_abelian_ell_quotient,
+    sl2_generators,
     sl2_order,
 )
 
@@ -54,6 +57,23 @@ def test_closure_sizes():
     assert full_gl2(7).order == gl2_order(7)
 
 
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_full_groups_are_the_closures_of_their_generators(ell):
+    # full_gl2 and full_sl2 are built by determinant; the criteria read their generators
+    for full, gens in ((full_gl2, gl2_generators), (full_sl2, sl2_generators)):
+        G = full(ell)
+        assert G.generators == tuple(gens(ell))
+        assert generate_subgroup(G.generators, ell).elements == G.elements
+
+
+def test_full_gl2_refuses_before_it_enumerates(monkeypatch):
+    monkeypatch.setattr(matgroup.np, "indices", lambda *args, **kwargs: pytest.fail("enumerated"))
+    with pytest.raises(BudgetExceeded, match=r"^exhaustive GL2 enumeration limited to ell <= 13$"):
+        full_gl2(17)
+    with pytest.raises(ValueError, match="ell must be prime"):
+        full_gl2(9)
+
+
 def test_closure_budget(monkeypatch):
     monkeypatch.setattr(matgroup, "MAX_GROUP_ORDER", 3)
     with pytest.raises(BudgetExceeded, match="closure exceeds budget 3"):
@@ -71,11 +91,11 @@ def test_irreducibility():
 
 def test_h1_examples():
     assert h1_vanishes(full_gl2(5)) is True
-    assert h1_vanishes(full_gl2(5), method="cocycle") is True
+    assert _h1_by_cocycles(full_gl2(5)) is True
     assert h1_vanishes(generate_subgroup([], 5)) is True
     uni = generate_subgroup([(1, 1, 0, 1)], 5)
     assert h1_vanishes(uni) is False
-    assert h1_vanishes(uni, method="cocycle") is False
+    assert _h1_by_cocycles(uni) is False
 
 
 def test_h1_methods_agree_on_random_subgroups():
@@ -90,8 +110,8 @@ def test_h1_methods_agree_on_random_subgroups():
         if not gens:
             continue
         G = generate_subgroup(gens, 5)
-        direct = h1_vanishes(G, method="cocycle")
-        assert h1_vanishes(G, method="auto") == direct
+        direct = _h1_by_cocycles(G)
+        assert h1_vanishes(G) == direct
         if (4, 0, 0, 4) in G:
             assert direct is True  # fast path must never disagree with the solver
         checked += 1
@@ -101,7 +121,7 @@ def test_h1_methods_agree_on_random_subgroups():
 def test_h1_vanishes_on_every_subgroup_of_order_prime_to_ell(ell, solved):
     # an oracle sharing no code with the solver: when ell does not divide |G|,
     # cor o res = |G| is invertible, so H^1(G, F_ell^2) embeds in H^1(1, F_ell^2) = 0.
-    # `solved` of the coprime draws lack -1, so the auto method answers by the solver too
+    # `solved` of the coprime draws lack -1, so h1_vanishes answers by the solver too
     rng = random.Random(ell)
     coprime_without_minus_one = 0
     for _ in range(400):
@@ -114,7 +134,7 @@ def test_h1_vanishes_on_every_subgroup_of_order_prime_to_ell(ell, solved):
         G = generate_subgroup(gens, ell)
         if G.order % ell == 0:
             continue
-        assert h1_vanishes(G, method="cocycle") is True, gens
+        assert _h1_by_cocycles(G) is True, gens
         assert h1_vanishes(G) is True, gens
         coprime_without_minus_one += (ell - 1, 0, 0, ell - 1) not in G
     assert coprime_without_minus_one == solved
