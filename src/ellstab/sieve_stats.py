@@ -6,7 +6,8 @@ integer moment sums, so V is always an exact rational.  The pairs are walked
 in fixed blocks, and the sampled ones are unranked from their indices block
 by block, so that path never builds the box and holds one block whatever
 the sample size.  The density decay does not build it either: a CRT pattern
-of the first primes' residues generates only the B that pass them, row by row.
+of the first primes' residues generates only the B that pass them, row by row,
+in one walk over the largest box that counts every smaller box on the way.
 """
 
 from dataclasses import dataclass
@@ -36,12 +37,7 @@ _PAIR_BLOCK = 1 << 14
 #: limit is about 100 s of work
 MAX_SAMPLES = 10**7
 
-#: largest period M of t_A_proxy_ratio's residue pattern: a row's pattern
-#: costs M, and decay's M = 7 * 11 * 13 = 1001 (a = (-1, -1), ell = 5)
-#: already keeps 1 curve in 21
-_PATTERN_PERIOD_LIMIT = 2000
-
-#: t_A_proxy_ratio keeps one bool verdict table over all (A mod p, B mod p) for p
+#: t_A_density_curve keeps one bool verdict table over all (A mod p, B mod p) for p
 #: below this, read from the census table (for every p < 1000 they would hold 50 MB);
 #: without them the benchmark's decay took 1.0 s instead of 0.23 s (2 vCPU VM)
 _VERDICT_TABLE_PRIME = 200
@@ -172,8 +168,10 @@ def variance_stat(
     return SieveStat(X, delta, pi, num_pairs, exhaustive, v)
 
 
-def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
-    """Fraction of C(X) whose reduced traces match a up to sign below bound.
+def t_A_density_curve(
+    a: CurveModel, X_values, ell: int, bound: int
+) -> list[tuple[int, Fraction]]:
+    """Per X, in input order, the fraction of C(X) whose traces mod ell match a's up to sign below bound.
 
     A curve passes at p when t_p = +-t_p(a) mod ell or p divides its
     discriminant, which depends on (A mod p, B mod p) alone.  A prime
@@ -181,17 +179,34 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
     all (A mod p, B mod p) from a single curve_traces call (which reads the
     census table), so a row's verdicts are one gather; a larger prime traces
     the row's survivors in one curve_traces call.  The head primes, the
-    first targets whose product M stays within _PATTERN_PERIOD_LIMIT, give
-    each row A by CRT the classes c mod M that pass them all, and only the
-    B = c mod M in [-X^3, X^3] are generated, of which row_curves keeps the
-    curves.  The later primes then drop that row's survivors one by one.
-    The denominator is count_curves(X), so no row of the box is built.
+    first targets whose product M stays within (2 X^3 + 1) // 8 at the
+    largest X (so each class keeps at least 8 candidate B), give each row A
+    by CRT the classes c mod M that pass them all, and only the B = c mod M
+    in [-X^3, X^3] are generated, of which row_curves keeps the curves.  The
+    later primes then drop that row's survivors one by one.  Minimality and
+    singularity do not depend on X, so the boxes nest: one walk over the
+    largest box's rows counts each row's survivors for every X with
+    |A| <= X^2 and |B| <= X^3.  The denominators are count_curves(X), so no
+    row of any box is built.
     """
-    total = count_curves(X)
+    check_ell(ell)
+    check_prime_bound(bound)
+    if bound < 50:
+        raise ValueError("prime bound must be >= 50")
+    X_values = list(X_values)
+    for X in X_values:  # every X before the first row
+        check_countable(X)
+        if X > MAX_DECAY_HEIGHT:
+            raise ValueError(f"height bound X must be <= {MAX_DECAY_HEIGHT}, got {X}")
+    if not X_values:
+        return []
+    heights = np.array(X_values, dtype=np.int64)
+    X_top = max(X_values)
+    b_max = X_top**3
     targets = [(p, frobenius_trace(a.A, a.B, p) % ell)
                for p in good_primes(discriminant(a), bound, ell)]
     head, M = 0, 1
-    while head < len(targets) and M * targets[head][0] <= _PATTERN_PERIOD_LIMIT:
+    while head < len(targets) and M * targets[head][0] <= (2 * b_max + 1) // 8:
         M *= targets[head][0]
         head += 1
     head_classes = [(p, ta, np.arange(M) % p) for p, ta in targets[:head]]
@@ -211,39 +226,23 @@ def t_A_proxy_ratio(a: CurveModel, X: int, ell: int, bound: int) -> Fraction:
             tables[p] = verdicts(r[:, None], r, p, ta)
         return tables[p][A % p][s]
 
-    b_max = X**3
     per_class = np.arange(-(-(2 * b_max + 1) // M)) * M
-    matched = 0
-    for A in range(-X * X, X * X + 1):
+    matched = np.zeros(len(heights), dtype=np.int64)
+    for A in range(-X_top * X_top, X_top * X_top + 1):
         pattern = np.ones(M, dtype=bool)
         for p, ta, c_mod_p in head_classes:
             pattern &= passes(p, ta, A, c_mod_p)
         c = np.flatnonzero(pattern)
         first = (c + b_max) % M - b_max  # the least B >= -X^3 in each class c
         b = first[:, None] + per_class
-        b = row_curves(A, b[b <= b_max], X)
+        b = row_curves(A, b[b <= b_max], X_top)
         for p, ta in targets[head:]:
             if not len(b):
                 break
             b = b[passes(p, ta, A, b % p)]
-        matched += len(b)
-    return Fraction(matched, total)
-
-
-def t_A_density_curve(
-    a: CurveModel, X_values, ell: int, bound: int
-) -> list[tuple[int, Fraction]]:
-    """Proxy ratio of the trace-twin set of a inside C(X), per X."""
-    check_ell(ell)
-    check_prime_bound(bound)
-    if bound < 50:
-        raise ValueError("prime bound must be >= 50")
-    X_values = list(X_values)
-    for X in X_values:  # every X before the first ratio
-        check_countable(X)
-        if X > MAX_DECAY_HEIGHT:
-            raise ValueError(f"height bound X must be <= {MAX_DECAY_HEIGHT}, got {X}")
-    return [(X, t_A_proxy_ratio(a, X, ell, bound)) for X in X_values]
+        if len(b):  # most rows keep no curve
+            matched += (abs(A) <= heights**2) * np.count_nonzero(np.abs(b)[:, None] <= heights**3, axis=0)
+    return [(X, Fraction(int(m), count_curves(X))) for X, m in zip(X_values, matched)]
 
 
 def zeta10() -> float:

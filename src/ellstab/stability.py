@@ -7,7 +7,6 @@ Undetermined; the criterion is sufficient, never necessary.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .curves import CurveModel, count_curves
@@ -71,23 +70,3 @@ def check_ds(c: CurveModel, K: FieldSpec, ell: int, bound: int) -> StabilityRepo
     t_kl = t_kl_member(c, ell, K, bound)
     verdict = SATISFIED if (t_kl == MEMBER and all(flags)) else UNDETERMINED
     return StabilityReport(t_kl, flags, verdict)
-
-
-def s_kl_census(
-    curves,
-    ranks: dict[tuple[int, int], int],
-    K: FieldSpec,
-    ell: int,
-    bound: int,
-) -> tuple[int, int, Fraction | None]:
-    """(#{rank 1 and DS satisfied}, total, ratio); unknown ranks never count."""
-    total = 0
-    hits = 0
-    for c in curves:
-        total += 1
-        if ranks.get((c.A, c.B)) != 1:
-            continue
-        if check_ds(c, K, ell, bound).ds_verdict == SATISFIED:
-            hits += 1
-    ratio = Fraction(hits, total) if total else None
-    return hits, total, ratio

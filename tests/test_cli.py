@@ -280,6 +280,33 @@ def test_stability_subcommand(capsys, tmp_path):
     assert "members" in err
 
 
+@pytest.mark.parametrize(
+    "ranks, rank1_ds",
+    [
+        ({(-1, -1): 1, (-1, 1): 0, (1, -1): 2, (-1, 0): 1, (0, 1): 1}, 1),
+        ({(-1, -1): 1, (1, 1): 1, (-1, 1): 2, (1, -1): 0, (1, 0): 1, (0, -1): 0}, 2),
+        ({(-1, 0): 1, (1, 0): 1, (0, -1): 1, (0, 1): 1}, 0),
+        (None, 0),
+    ],
+    ids=["one-rank-1-one-unlisted", "two-rank-1", "rank-1-undetermined-only", "no-ranks"],
+)
+def test_stability_summary_counts_only_rank_1_satisfied_curves(capsys, tmp_path, ranks, rank1_ds):
+    # in the X = 1 box at ell = 5 the four (+-1, +-1) are Satisfied and the
+    # CM curves (+-1, 0) and (0, +-1) Undetermined; a Satisfied curve of rank
+    # 0 or 2, or with no listed rank, and an Undetermined one of rank 1 never count
+    argv = ["stability", "--X", "1", "--ell", "5", "--prime-bound", "300", "--degree", "2"]
+    if ranks is not None:
+        path = tmp_path / "ranks.csv"
+        path.write_text("A,B,rank\n" + "".join(f"{A},{B},{r}\n" for (A, B), r in ranks.items()))
+        argv += ["--ranks", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    satisfied = [(row["A"], row["B"]) for row in rows if row["ds_verdict"] == "Satisfied"]
+    assert len(rows) == 8 and satisfied == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    assert err.splitlines()[:2] == ["X,ell,members,ds_satisfied,rank1_ds,total", f"1,5,4,4,{rank1_ds},8"]
+
+
 def test_error_exit_code(capsys, tmp_path):
     missing_ok = tmp_path / "bad.csv"
     missing_ok.write_text("A,B,rank\n0,0,1\n")
@@ -378,6 +405,7 @@ BIG_ELL = f"ValueError: ell must be <= {primes.MAX_ELL}, got"
 SWEEP_ROWS = (f"ValueError: summing {primes.MAX_ELL} residues at 155608 primes fills "
               f"{155608 * primes.MAX_ELL} rows, more than {class_numbers.MAX_SWEEP_ROWS}")
 CURVE = ("--A", "-1", "--B", "-1")
+STABILITY = ("--X", "1", "--ell", "5", "--prime-bound", "100")
 SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "100", "--seed", "1")
 
 
@@ -402,6 +430,21 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
                       "--closure-degree", "-2"),
                      "ValueError: galois closure degree must be >= n = 2, got -2",
                      id="stability-closure-degree--2"),
+        pytest.param(("stability", *STABILITY, "--degree", "6", "--closure-degree", "42"),
+                     "ValueError: galois closure degree must divide 6!, got 42",
+                     id="stability-degree-6-closure-degree-42"),
+        pytest.param(("stability", *STABILITY, "--degree", "4", "--closure-degree", "48"),
+                     "ValueError: galois closure degree must divide 4!, got 48",
+                     id="stability-degree-4-closure-degree-48"),
+        pytest.param(("stability", *STABILITY, "--degree", "6", "--closure-degree", "1440"),
+                     "ValueError: galois closure degree must divide 6!, got 1440",
+                     id="stability-degree-6-closure-degree-1440"),
+        pytest.param(("stability", *STABILITY, "--degree", "6", "--closure-degree", str(6 * 10**39)),
+                     f"ValueError: galois closure degree must divide 6!, got {6 * 10**39}",
+                     id="stability-degree-6-closure-degree-40-digits"),
+        pytest.param(("stability", *STABILITY, "--degree", str(10**40), "--closure-degree", str(10**40)),
+                     f"ValueError: field degree must be <= 10000 with a galois closure degree, got {10**40}",
+                     id="stability-degree-10^40-closure-degree-10^40"),
         pytest.param(("image", "--A", "0", "--B", "1", "--ell", "5", "--prime-bound", "2097152"),
                      f"{BOUND_RANGE} 2097152", id="image-curve-bound-2097152"),
         pytest.param(("image", "--A", "0", "--B", "1", "--ell", "5", "--prime-bound", "3000000"),
@@ -515,6 +558,14 @@ def test_decay_checks_every_height_before_any_count(capsys, monkeypatch):
     code, out, err = run(capsys, "decay", *CURVE, "--X-list", "20,0", "--ell", "5",
                          "--prime-bound", "100")
     assert (code, out, err) == (2, "", BAD_HEIGHT + "\n")
+    assert calls == []
+
+
+def test_decay_with_no_heights_prints_only_the_header(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sieve_stats, "row_curves", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "decay", *CURVE, "--X-list", "", "--ell", "5", "--prime-bound", "100")
+    assert (code, out, err) == (0, "X,matched_ratio\n", "")
     assert calls == []
 
 

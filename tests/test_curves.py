@@ -102,7 +102,7 @@ def test_row_curves_is_the_scalar_rule_on_every_row(X):
 
 @pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 6, 12])
 def test_row_curves_is_the_scalar_rule_on_random_candidates(X):
-    # candidates in any order, as t_A_proxy_ratio's CRT classes come
+    # candidates in any order, as t_A_density_curve's CRT classes come
     rng = np.random.default_rng(X)
     row = np.arange(-(X**3), X**3 + 1, dtype=np.int64)
     for A in range(-X * X, X * X + 1):

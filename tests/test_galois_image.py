@@ -1,7 +1,7 @@
 import hashlib
 import re
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -105,6 +105,22 @@ def test_field_spec_validation():
         FieldSpec(0)
     with pytest.raises(ValueError):
         FieldSpec(4, galois_closure_degree=6)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_field_spec_accepts_every_transitive_group_order(n):
+    # the Galois group of a degree-n field's closure is a transitive subgroup of S_n
+    from sympy.combinatorics import galois
+
+    groups = getattr(galois, f"S{n}TransitiveSubgroups")
+    orders = {g.get_perm_group().order() for g in groups}
+    assert n in orders and factorial(n) in orders
+    for g in orders:
+        assert FieldSpec(n, g).galois_closure_degree == g
+    refused = [g for g in range(n, 2 * factorial(n) + 1, n) if factorial(n) % g]
+    for g in refused:
+        with pytest.raises(ValueError, match=rf"must divide {n}!"):
+            FieldSpec(n, g)
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 37])

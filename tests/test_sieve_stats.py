@@ -19,7 +19,6 @@ from ellstab.sieve_stats import (
     pi_count,
     pi_pair,
     t_A_density_curve,
-    t_A_proxy_ratio,
     variance_stat,
     zeta10,
 )
@@ -310,7 +309,7 @@ def test_proxy_ratio_matches_member_scan(bound, monkeypatch):
     X, ell = 2, 5
     curves = list(enumerate_curves(X))
     expected = sum(1 for e in curves if t_A_proxy_member(e, a, ell, bound))
-    assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
+    assert t_A_density_curve(a, [X], ell, bound) == [(X, Fraction(expected, len(curves)))]
     assert all(p < 200 for p in requested)
 
 
@@ -338,7 +337,7 @@ def test_proxy_ratio_traces_each_residue_pair_once(a, X, ell, bound, monkeypatch
 
         monkeypatch.setattr(sieve_stats, "curve_traces", spy)
         monkeypatch.setattr(sieve_stats, "_VERDICT_TABLE_PRIME", table_prime)
-        assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(expected, len(curves))
+        assert t_A_density_curve(a, [X], ell, bound) == [(X, Fraction(expected, len(curves)))]
         assert traced
         seen = set()
         for pairs in traced:
@@ -358,11 +357,11 @@ def member_scan(a, ell, bound, X_max=5):
                          ids=["a=(-1,-1)", "a=(1,1)"])
 @pytest.mark.parametrize("X", [1, 2, 3, 4, 5])
 def test_proxy_ratio_equals_the_member_scan(X, a, ell, bound):
-    # rows of at most 2X^3 + 1 <= 251 B, shorter than the pattern period
-    # M = 1001, so most residue classes hold no B of the box; C(X) is the
-    # part of C(5) inside the height-X box
+    # one X a call, so the pattern period M <= (2X^3 + 1) // 8 is 1 up to
+    # X = 2 and one head prime (7, or 5 for ell = 7) from X = 3 or 4 on;
+    # C(X) is the part of C(5) inside the height-X box
     members = [(A, B) for A, B in member_scan(a, ell, bound) if abs(A) <= X * X and abs(B) <= X**3]
-    assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(len(members), count_curves(X))
+    assert t_A_density_curve(a, [X], ell, bound) == [(X, Fraction(len(members), count_curves(X)))]
 
 
 @pytest.mark.parametrize("table_prime", [0, 12, 1000], ids=["no-tables", "mixed", "tables"])
@@ -372,13 +371,13 @@ def test_proxy_ratio_equals_the_member_scan(X, a, ell, bound):
 def test_proxy_ratio_verdict_tables_and_lazy_rows_agree(a, ell, bound, table_prime, monkeypatch):
     # below the table prime each target prime reads one bool table over all
     # (A mod p, B mod p); at 0 every prime traces each row's curves, at 12
-    # the head primes below 12 (7 and 11, or 5 and 11) read tables and the
-    # head prime 13 and all later ones trace, and at 1000 every prime reads a table
+    # the primes below 12 (the head prime 7, or 5, and 11) read tables and
+    # 13 and all later ones trace, and at 1000 every prime reads a table
     monkeypatch.setattr(sieve_stats, "_VERDICT_TABLE_PRIME", table_prime)
     for X in range(1, 6):
         members = [(A, B) for A, B in member_scan(a, ell, bound)
                    if abs(A) <= X * X and abs(B) <= X**3]
-        assert t_A_proxy_ratio(a, X, ell, bound) == Fraction(len(members), count_curves(X))
+        assert t_A_density_curve(a, [X], ell, bound) == [(X, Fraction(len(members), count_curves(X)))]
 
 
 @pytest.mark.parametrize("a, ell", [(CurveModel(-1, -1), 5), (CurveModel(1, 1), 7)],
@@ -395,7 +394,73 @@ def test_proxy_ratio_drops_singular_and_non_minimal_pairs(a, ell):
     members = member_scan(a, ell, 60)
     assert scaled not in members and (a.A, a.B) in members
     fours = [(A, B) for A, B in members if abs(A) <= 16 and abs(B) <= 64]
-    assert t_A_proxy_ratio(a, 4, ell, 60) == Fraction(len(fours), count_curves(4))
+    assert t_A_density_curve(a, [4], ell, 60) == [(4, Fraction(len(fours), count_curves(4)))]
+
+
+@pytest.mark.parametrize("X_values", [[5, 1, 3, 3], [2]], ids=["5,1,3,3", "2"])
+@pytest.mark.parametrize("bound", [60, 400])
+@pytest.mark.parametrize("a, ell", [(CurveModel(-1, -1), 5), (CurveModel(1, 1), 7)],
+                         ids=["a=(-1,-1)", "a=(1,1)"])
+def test_density_curve_counts_every_X_in_one_walk(a, ell, bound, X_values):
+    # one walk over C(5)'s rows counts the smaller boxes in input order,
+    # repeats included, each over its own |A| <= X^2 and |B| <= X^3
+    expected = []
+    for X in X_values:
+        members = [(A, B) for A, B in member_scan(a, ell, bound)
+                   if abs(A) <= X * X and abs(B) <= X**3]
+        expected.append((X, Fraction(len(members), count_curves(X))))
+    assert t_A_density_curve(a, X_values, ell, bound) == expected
+
+
+def test_density_curve_of_no_heights_walks_no_row(monkeypatch):
+    calls = []
+    for name in ("row_curves", "count_curves", "curve_traces", "frobenius_trace"):
+        monkeypatch.setattr(sieve_stats, name, lambda *args, name=name: calls.append(name))
+    assert t_A_density_curve(CurveModel(-1, -1), [], 5, 100) == []
+    assert calls == []
+
+
+class _FirstRow(Exception):
+    pass
+
+
+@pytest.mark.parametrize("X_values, M", [([5], 7), ([16], 1001), ([20], 1001), ([5, 20], 1001),
+                                         ([40], 1001), ([60], 7 * 11 * 13 * 17)])
+def test_pattern_period_follows_the_largest_X(X_values, M, monkeypatch):
+    # head primes of a = (-1, -1) at ell = 5: 7, 11, 13, 17, 19 (23 divides
+    # its discriminant); they multiply while M p <= (2X^3 + 1) // 8, which is
+    # 2000 at X = 20, so each class keeps at least 8 candidate B.  A class's
+    # candidates step by M, and the next class starts below the last one
+    candidates = []
+
+    def spy(A, b, X):
+        candidates.append(b)
+        if len(b):
+            raise _FirstRow
+        return b
+
+    monkeypatch.setattr(sieve_stats, "row_curves", spy)
+    with pytest.raises(_FirstRow):
+        t_A_density_curve(CurveModel(-1, -1), X_values, 5, 100)
+    steps = np.diff(candidates[-1])
+    assert set(steps[steps > 0].tolist()) == {M}
+
+
+@pytest.mark.parametrize("table_prime", [0, 12, sieve_stats._VERDICT_TABLE_PRIME],
+                         ids=["no-tables", "mixed", "tables"])
+@pytest.mark.parametrize("a, ell, counts", [(CurveModel(-1, -1), 5, [32, 14, 22, 6, 32]),
+                                            (CurveModel(1, 1), 7, [22, 12, 16, 6, 22])],
+                         ids=["a=(-1,-1)", "a=(1,1)"])
+def test_density_curve_with_three_head_primes_matches_the_whole_box(a, ell, counts, table_prime,
+                                                                    monkeypatch):
+    # at X = 16 the period is 7 * 11 * 13 = 1001 (5 * 11 * 13 = 715 for ell = 7),
+    # too tall a box for member_scan; the counts are those of curve_traces over
+    # all 4.2 million curves of curve_box(16) at every target prime below 60,
+    # each of them a t_A_proxy_member, and of one-X walks with the period
+    # capped at 2000 whatever X
+    monkeypatch.setattr(sieve_stats, "_VERDICT_TABLE_PRIME", table_prime)
+    rows = t_A_density_curve(a, [16, 9, 12, 3, 16], ell, 60)
+    assert rows == [(X, Fraction(k, count_curves(X))) for X, k in zip([16, 9, 12, 3, 16], counts)]
 
 
 def test_density_curve_bounds_and_monotone_trend():

@@ -9,7 +9,6 @@ from ellstab.stability import (
     check_box_curves,
     check_ds,
     full_image_conditions,
-    s_kl_census,
 )
 
 
@@ -57,20 +56,3 @@ def test_implication_chain():
             assert rep.t_kl == "Member"
             assert classify_image(c, 5, 500).status == SURJECTIVE_PROVEN
             assert all(rep.conditions)
-
-
-def test_census_fixture():
-    curves = [CurveModel(1, 1), CurveModel(-1, 1), CurveModel(2, 1)]
-    ranks = {(1, 1): 1, (-1, 1): 0, (2, 1): 1}
-    hits, total, ratio = s_kl_census(curves, ranks, FieldSpec(2), 5, 1000)
-    rank1 = sum(1 for c in curves if ranks[(c.A, c.B)] == 1)
-    assert total == 3
-    assert hits <= rank1
-    assert ratio is not None and 0 <= ratio <= 1
-
-
-def test_census_empty_and_unknown_ranks():
-    assert s_kl_census([], {}, FieldSpec(2), 5, 100) == (0, 0, None)
-    curves = [CurveModel(1, 1)]
-    hits, total, ratio = s_kl_census(curves, {}, FieldSpec(2), 5, 100)
-    assert (hits, total) == (0, 1) and ratio == 0
