@@ -1,5 +1,6 @@
 """Elliptic curve enumeration, trace statistics and diophantine-stability checks."""
 
+import importlib
 import os
 
 # numpy's OpenBLAS starts a worker thread per extra core at import, which
@@ -9,7 +10,7 @@ import os
 _blas_default = "OPENBLAS_NUM_THREADS" not in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 try:
-    import numpy  # noqa: F401  the package's first numpy import
+    importlib.import_module("numpy")  # the package's first numpy import
 finally:
     if _blas_default:
         del os.environ["OPENBLAS_NUM_THREADS"]

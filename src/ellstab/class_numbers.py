@@ -15,8 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDiscriminant, OutOfHasseRange
-from .primes import check_ell, is_prime, legendre_table
-from .traces import check_prime_bound, good_primes
+from .matgroup import delta_numerator
+from .primes import is_prime
+from .traces import check_ell_and_bound, good_primes
 
 #: most rows partial_sum_sweep builds: hurwitz peaks near 50 bytes a row beside the table
 #: (317 MB for 5.7M rows at ell = 18917, bound 2000), so about 0.5 GB at the limit
@@ -136,8 +137,8 @@ def _partial_sums(ps: list[int], ell: int, table: np.ndarray) -> PartialSums:
             six[first:, -a % ell] += h
     d = p % ell
     t = np.arange(ell, dtype=np.int64)
-    num = ell + legendre_table(ell)[(t * t - 4 * d[:, None]) % ell].astype(np.int64)
-    den = np.int64(ell * ell - 1)  # delta(t, d, ell) = num / den, as in delta_density
+    num = delta_numerator(t, d[:, None], ell)
+    den = np.int64(ell * ell - 1)  # delta(t, d, ell) = num / den
     err = np.abs(six * den - 12 * p[:, None] * num) / (6 * den)
     err /= ell * np.array([q**0.5 for q in ps])[:, None]
     num *= 2 * p[:, None]  # main = 2p num / den, reduced in place
@@ -160,8 +161,7 @@ def hurwitz_partial_sum(p: int, t: int, ell: int) -> tuple[Fraction, Fraction, f
     main = 2 * delta(t, p mod ell, ell) * p, err = |S - main| / (ell * sqrt(p)).
     p must be a prime in the range of check_prime_bound, other than ell.
     """
-    check_ell(ell)
-    check_prime_bound(p)
+    check_ell_and_bound(ell, p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == ell:
@@ -194,8 +194,7 @@ def partial_sum_sweep(ell: int, p_max: int) -> PartialSums:
     bytes a row (p, d, t and S as int32, main as int64).  More than
     MAX_SWEEP_ROWS rows are refused before the table is built.
     """
-    check_ell(ell)
-    check_prime_bound(p_max)
+    check_ell_and_bound(ell, p_max)
     ps = good_primes(1, p_max, ell)
     rows = len(ps) * ell
     if rows > MAX_SWEEP_ROWS:

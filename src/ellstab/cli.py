@@ -10,7 +10,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from . import class_numbers, galois_image, ingest, sieve_stats, stability, store
 from .curves import CurveModel, box_rows, box_size, check_unrankable, curve_box, enumerate_curves
@@ -18,7 +17,7 @@ from .errors import EllstabError
 from .galois_image import FieldSpec
 from .matgroup import count_trace_det, delta_density, sl2_order
 from .primes import check_ell, primes_up_to
-from .traces import batch_trace_census, check_prime_bound, check_trace_cells, trace_table
+from .traces import check_prime_bound, check_trace_cells, trace_table
 
 
 #: rows that cmd_hurwitz formats and writes at once; chunks of 4096 rows
@@ -213,6 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ellstab")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # --ell and --prime-bound, for the subcommands that trace below a prime bound mod ell
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--ell", type=int, required=True)
+    traced.add_argument("--prime-bound", type=int, required=True)
+
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
@@ -222,33 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = add("trace", cmd_trace, help="compute trace tables into a cache")
+    p = add("trace", cmd_trace, parents=[traced], help="compute trace tables into a cache")
     p.add_argument("--X", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True)
     p.add_argument("--cache")
 
     p = add("census", cmd_census, help="Deuring census verification sweep")
     p.add_argument("--prime-bound", type=int, required=True)
 
-    p = add("hurwitz", cmd_hurwitz, help="Hurwitz partial-sum sweep")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True)
+    add("hurwitz", cmd_hurwitz, parents=[traced], help="Hurwitz partial-sum sweep")
 
     p = add("delta", cmd_delta, help="trace-det density table with oracle check")
     p.add_argument("--ell", type=int, required=True)
 
-    p = add("image", cmd_image, help="mod-ell image classification")
+    p = add("image", cmd_image, parents=[traced], help="mod-ell image classification")
     p.add_argument("--A", type=int)
     p.add_argument("--B", type=int)
     p.add_argument("--X", type=int)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True)
 
-    p = add("stability", cmd_stability, help="DS reports and S_{K,ell} census")
+    p = add("stability", cmd_stability, parents=[traced], help="DS reports and S_{K,ell} census")
     p.add_argument("--X", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--closure-degree", type=int)
     p.add_argument("--ranks")
@@ -262,12 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("decay", cmd_decay, help="trace-twin proxy density decay")
+    p = add("decay", cmd_decay, parents=[traced], help="trace-twin proxy density decay")
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--X-list", type=_parse_int_list, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True)
 
     p = add("countcheck", cmd_countcheck, help="curve count vs C1*X^5")
     p.add_argument("--X-list", type=_parse_int_list, required=True)

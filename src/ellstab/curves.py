@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BadReduction, InvalidCurve
 from .primes import primes_up_to
+from .traces import MAX_TRACE_PRIME
 
 #: most curves curve_box builds; a sweep over the box peaks near 80 bytes a
 #: curve (605 MB for the 7.56M curves at X = 18), so about 0.8 GB at the limit
@@ -33,19 +34,27 @@ MAX_INDEX_HEIGHT = 4706
 MAX_UNRANK_HEIGHT = 1000
 
 
-def is_minimal(A: int, B: int) -> bool:
-    """True iff no prime p has both p^4 | A and p^6 | B.
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps down from a power of two above it."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
-    (0, 0) is reported non-minimal by convention.
+
+def is_minimal(A: int, B: int) -> bool:
+    """True iff no prime p has both p^4 | A and p^6 | B; (0, 0) is non-minimal by convention.
+
+    Such a p is at most |A|^(1/4) if A != 0 and |B|^(1/6) if B != 0.  A pair whose least
+    root passes MAX_TRACE_PRIME, the largest sieve any command takes, is refused before the sieve.
     """
     if A == 0 and B == 0:
         return False
-    if A == 0:
-        # floor(|B|^(1/4)): a safe cap, since p^6 | B needs p <= |B|^(1/6)
-        cap = isqrt(isqrt(isqrt(B * B)))
-        return all(B % p**6 != 0 for p in primes_up_to(cap + 1))
-    cap = isqrt(isqrt(abs(A)))
-    return all(A % p**4 != 0 or B % p**6 != 0 for p in primes_up_to(cap + 1))
+    cap = min(_iroot(abs(n), k) for n, k in ((A, 4), (B, 6)) if n)
+    if cap > MAX_TRACE_PRIME:
+        raise ValueError(f"testing ({A}, {B}) for minimality needs the primes up to {cap},"
+                         f" more than {MAX_TRACE_PRIME}")
+    return all(A % p**4 != 0 or B % p**6 != 0 for p in primes_up_to(cap))
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,7 @@ class CurveModel:
     B: int
 
     def __post_init__(self) -> None:
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
+        if discriminant(self) == 0:
             raise InvalidCurve(f"({self.A}, {self.B}) is singular")
         if not is_minimal(self.A, self.B):
             raise InvalidCurve(f"({self.A}, {self.B}) is not minimal")

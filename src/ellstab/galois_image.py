@@ -14,8 +14,8 @@ from math import gcd
 import numpy as np
 
 from .curves import CurveModel, curve_box, discriminant
-from .primes import check_ell, legendre_table, primes_up_to, unit_group
-from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
+from .primes import legendre_table, primes_up_to, unit_group
+from .traces import check_ell_and_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
 SURJECTIVE_PROVEN = "SurjectiveProven"
@@ -99,8 +99,7 @@ def classify_image(c: CurveModel, ell: int, bound: int) -> ImageVerdict:
     Returns SurjectiveProven iff a split witness, a nonsplit witness, an
     exceptional-excluding witness, and determinant coverage are all found.
     """
-    check_ell(ell)
-    check_prime_bound(bound)
+    check_ell_and_bound(ell, bound)
     log = unit_group(ell)[1]
     w: dict = {"split": None, "nonsplit": None, "exceptional": None, "det": {}}
     g = ell - 1
@@ -141,8 +140,7 @@ def t_kl_member(c: CurveModel, ell: int, K: FieldSpec, bound: int) -> str:
 
 def t_A_proxy_member(e: CurveModel, a: CurveModel, ell: int, bound: int) -> bool:
     """True iff t_p(e) = +-t_p(a) mod ell at every shared good prime p <= bound."""
-    check_ell(ell)
-    check_prime_bound(bound)
+    check_ell_and_bound(ell, bound)
     for p in good_primes(discriminant(e) * discriminant(a), bound, ell):
         te = frobenius_trace(e.A, e.B, p) % ell
         ta = frobenius_trace(a.A, a.B, p) % ell
@@ -181,8 +179,7 @@ def surjectivity_sweep(X: int, ell: int, bound: int) -> SweepResult:
     prime gives both a split and a nonsplit witness); they are dropped once, at
     the first p with p^2 > len(survivors), where the census table stops serving.
     """
-    check_ell(ell)
-    check_prime_bound(bound)
+    check_ell_and_bound(ell, bound)
     A, B = curve_box(X)
     n = len(A)
     log = unit_group(ell)[1]

@@ -40,6 +40,7 @@ def mat_mul(g: Mat2, h: Mat2, ell: int) -> Mat2:
 
 
 def mat_det(g: Mat2, ell: int) -> int:
+    """ad - bc mod ell; g may also be a (4, n) array of matrices as columns."""
     return (g[0] * g[3] - g[1] * g[2]) % ell
 
 
@@ -60,12 +61,16 @@ def sl2_order(ell: int) -> int:
     return ell * (ell**2 - 1)
 
 
+def delta_numerator(t, d, ell: int):
+    """ell + chi(t^2 - 4d), the numerator of delta_density, for ints or (broadcastable) int arrays."""
+    return ell + legendre_table(ell)[(t * t - 4 * d) % ell].astype(np.int64)
+
+
 def delta_density(t: int, d: int, ell: int) -> Fraction:
     """(ell + chi(t^2 - 4d)) / (ell^2 - 1): density of trace t in the det-d coset."""
     check_ell(ell)
     check_unit(d, ell)
-    chi = int(legendre_table(ell)[(t * t - 4 * d) % ell])
-    return Fraction(ell + chi, ell * ell - 1)
+    return Fraction(int(delta_numerator(t, d, ell)), ell * ell - 1)
 
 
 def _gl2(ell: int) -> np.ndarray:
@@ -76,15 +81,15 @@ def _gl2(ell: int) -> np.ndarray:
         raise ValueError("ell must be prime")
     if gl2_order(ell) > MAX_GROUP_ORDER:
         raise BudgetExceeded("exhaustive GL2 enumeration limited to ell <= 13")
-    a, b, c, d = m = np.indices((ell,) * 4, dtype=np.int16).reshape(4, -1)
-    return m[:, (a * d - b * c) % ell != 0]
+    m = np.indices((ell,) * 4, dtype=np.int16).reshape(4, -1)
+    return m[:, mat_det(m, ell) != 0]
 
 
 @lru_cache(maxsize=8)
 def _trace_det_counts(ell: int) -> np.ndarray:
     """counts[t * ell + d] = #{g in GL2(F_ell): tr g = t, det g = d}."""
-    a, b, c, d = _gl2(ell)
-    return np.bincount((a + d) % ell * ell + (a * d - b * c) % ell, minlength=ell * ell)
+    m = _gl2(ell)
+    return np.bincount((m[0] + m[3]) % ell * ell + mat_det(m, ell), minlength=ell * ell)
 
 
 def count_trace_det(t: int, d: int, ell: int) -> int:
@@ -153,7 +158,7 @@ def full_gl2(ell: int) -> MatGroup:
 @lru_cache(maxsize=8)
 def full_sl2(ell: int) -> MatGroup:
     return MatGroup(ell, tuple(sl2_generators(ell)), frozenset(
-        g for g in full_gl2(ell).elements if (g[0] * g[3] - g[1] * g[2]) % ell == 1))
+        g for g in full_gl2(ell).elements if mat_det(g, ell) == 1))
 
 
 def is_irreducible(G: MatGroup) -> bool:
@@ -168,8 +173,7 @@ def is_irreducible(G: MatGroup) -> bool:
 
 def _fixes_line(g: Mat2, v: tuple[int, int], ell: int) -> bool:
     a, b, c, d = g
-    w = ((a * v[0] + b * v[1]) % ell, (c * v[0] + d * v[1]) % ell)
-    return (w[0] * v[1] - w[1] * v[0]) % ell == 0
+    return mat_det((a * v[0] + b * v[1], v[0], c * v[0] + d * v[1], v[1]), ell) == 0  # det(gv | v)
 
 
 def _row_reduce_basis(rows: list[list[int]], ell: int) -> list[list[int]]:
@@ -222,12 +226,8 @@ def _h1_by_cocycles(G: MatGroup) -> bool:
     dim_z1 = ncols - rank
 
     # B^1 is the image of v -> ((g_i - 1)v)_i: the rank of the g_i - 1 stacked
-    fixed_rows = []
-    for g in gens:
-        a, b, c, d = g
-        fixed_rows.append([(a - 1) % ell, b])
-        fixed_rows.append([c, (d - 1) % ell])
-    return dim_z1 == len(_row_reduce_basis(fixed_rows, ell))
+    g_minus_1 = [row for a, b, c, d in gens for row in ([a - 1, b], [c, d - 1])]
+    return dim_z1 == len(_row_reduce_basis(g_minus_1, ell))
 
 
 def h1_vanishes(G: MatGroup) -> bool:
@@ -257,8 +257,7 @@ def no_abelian_ell_quotient(H: MatGroup) -> bool:
 
 def _det_minus_one(g: Mat2, ell: int) -> int:
     """det(g - 1) mod ell: zero iff 1 is an eigenvalue of g."""
-    a, b, c, d = g
-    return ((a - 1) * (d - 1) - b * c) % ell
+    return mat_det((g[0] - 1, g[1], g[2], g[3] - 1), ell)
 
 
 def find_tau0(H: MatGroup) -> Mat2 | None:

@@ -2,6 +2,7 @@
 
 from collections import OrderedDict
 from functools import lru_cache, update_wrapper
+from math import isqrt
 
 import numpy as np
 
@@ -14,11 +15,11 @@ CACHE_BYTES = 1 << 24
 
 
 class ByteLRU:
-    """fn(p) cached by p, read-only; past limit bytes in all, the least recently used go."""
+    """fn(p) cached by p, read-only; past CACHE_BYTES in all, the least recently used go."""
 
-    def __init__(self, fn, limit: int = CACHE_BYTES):
+    def __init__(self, fn):
         update_wrapper(self, fn)
-        self.fn, self.limit, self.nbytes = fn, limit, 0
+        self.fn, self.nbytes = fn, 0
         self._held: OrderedDict[int, np.ndarray] = OrderedDict()
         # on the instance: perfbench's package_caches calls each module attribute's cache_clear()
         self.cache_clear = self._clear
@@ -31,7 +32,7 @@ class ByteLRU:
         a = self._held[p] = self.fn(p)
         a.setflags(write=False)
         self.nbytes += a.nbytes
-        while self.nbytes > self.limit:
+        while self.nbytes > CACHE_BYTES:
             self.nbytes -= self._held.popitem(last=False)[1].nbytes
         return a
 
@@ -92,16 +93,14 @@ def legendre_table(p: int) -> np.ndarray:
 
 def primitive_root(p: int) -> int:
     """Least primitive root g mod the prime p: g^((p-1)/q) != 1 for every prime q | p - 1."""
-    factors, n, q = [], p - 1, 2
-    while q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
+    n = p - 1
+    factors = [q for q in primes_up_to(isqrt(n)) if n % q == 0]
+    for q in factors:
+        while n % q == 0:
+            n //= q
+    if n > 1:  # the one prime factor above sqrt(p - 1)
         factors.append(n)
-    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 @ByteLRU

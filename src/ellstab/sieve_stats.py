@@ -20,7 +20,7 @@ from .curves import CurveModel, check_countable, check_unrankable, count_curves,
 from .curves import discriminant, row_curves, unranker
 from .matgroup import delta_density
 from .primes import check_ell, check_unit, primes_up_to
-from .traces import check_prime_bound, curve_traces, frobenius_trace, good_primes
+from .traces import check_ell_and_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
 #: above this many pairs the exhaustive pair set gives way to sampling
@@ -42,8 +42,9 @@ MAX_SAMPLES = 10**7
 #: without them the benchmark's decay took 1.0 s instead of 0.23 s (2 vCPU VM)
 _VERDICT_TABLE_PRIME = 200
 
-#: largest X with 31 X^6 < 2^63, so 4A^3 + 27B^2 stays in int64 over the box
-MAX_DECAY_HEIGHT = 817
+#: largest X decay walks, a time budget: X = 90 took 9.8-14.6 s cold at ell 5, bound 100, for three curves,
+#: about X^4 (2 vCPU VM); below 817, the largest X with 31 X^6 < 2^63 (4A^3 + 27B^2 in int64 over the box)
+MAX_DECAY_HEIGHT = 90
 
 
 def pair_delta(t1: int, t2: int, d: int, ell: int) -> Fraction:
@@ -189,8 +190,7 @@ def t_A_density_curve(
     |A| <= X^2 and |B| <= X^3.  The denominators are count_curves(X), so no
     row of any box is built.
     """
-    check_ell(ell)
-    check_prime_bound(bound)
+    check_ell_and_bound(ell, bound)
     if bound < 50:
         raise ValueError("prime bound must be >= 50")
     X_values = list(X_values)

@@ -46,12 +46,18 @@ def check_prime_bound(bound: int) -> None:
         raise ValueError(f"prime bound must be in [5, {MAX_TRACE_PRIME}], got {bound}")
 
 
+def check_ell_and_bound(ell: int, bound: int) -> None:
+    """check_ell, then check_prime_bound: the input of every trace below a prime bound mod ell."""
+    check_ell(ell)
+    check_prime_bound(bound)
+
+
 def frobenius_trace(r: int, s: int, p: int) -> int:
     """Trace a of Frobenius for y^2 = x^3 + rx + s over F_p, 5 <= p <= MAX_TRACE_PRIME."""
     check_prime_bound(p)
     r %= p
     s %= p
-    if (4 * r**3 + 27 * s * s) % p == 0:
+    if not _nonsingular(r, s, p):
         raise SingularReduction(f"(r, s)=({r}, {s}) is singular mod {p}")
     chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
@@ -65,8 +71,7 @@ def good_primes(disc: int, bound: int, ell: int) -> list[int]:
 
 def check_trace_cells(n_curves: int, bound: int, ell: int) -> None:
     """Raise ValueError unless trace_table over n_curves curves fits MAX_TRACE_CELLS cells."""
-    check_ell(ell)
-    check_prime_bound(bound)
+    check_ell_and_bound(ell, bound)
     cells = n_curves * len(good_primes(1, bound, ell))
     if cells > MAX_TRACE_CELLS:
         raise ValueError(

@@ -119,6 +119,16 @@ def test_sweep_main_and_err_follow_delta_density(ell):
         assert err.hex() == (abs(float(s - main)) / (ell * p**0.5)).hex()
 
 
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_partial_sums_main_term_is_2p_delta_density_at_every_trace_and_unit(ell):
+    # _partial_sums and delta_density read one numerator, ell + chi(t^2 - 4d)
+    ps = traces.good_primes(1, 400, ell)
+    rows = fraction_rows(class_numbers._partial_sums(ps, ell, hurwitz_six_table(4 * ps[-1])))
+    assert {(d, t) for _, d, t, *_ in rows} == {(d, t) for d in range(1, ell) for t in range(ell)}
+    for p, d, t, _, main, _ in rows:
+        assert main == 2 * p * delta_density(t, d, ell)
+
+
 def test_sweep_memory_grows_with_its_rows_not_with_ell_squared():
     # the ell^2 densities of every (t, d) are never built: about 53 bytes a row beside the table
     ell, bound = 1009, 100

@@ -404,6 +404,8 @@ TRACE_CELLS = ("ValueError: tracing 401782 curves below 1000 fills 66294030 cell
 BIG_ELL = f"ValueError: ell must be <= {primes.MAX_ELL}, got"
 SWEEP_ROWS = (f"ValueError: summing {primes.MAX_ELL} residues at 155608 primes fills "
               f"{155608 * primes.MAX_ELL} rows, more than {class_numbers.MAX_SWEEP_ROWS}")
+DECAY_HEIGHT = f"ValueError: height bound X must be <= {sieve_stats.MAX_DECAY_HEIGHT}, got"
+UNSIEVABLE = "ValueError: testing ({}, {}) for minimality needs the primes up to"
 CURVE = ("--A", "-1", "--B", "-1")
 STABILITY = ("--X", "1", "--ell", "5", "--prime-bound", "100")
 SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "100", "--seed", "1")
@@ -482,7 +484,20 @@ SIEVE = ("--X-list", "8", "--t1", "1", "--t2", "2", "--d", "1", "--samples", "10
         pytest.param(("trace", "--X", "40", "--ell", "5", "--prime-bound", "100"), BIG_BOX,
                      id="trace-X-40"),
         pytest.param(("decay", *CURVE, "--X-list", "5,818", "--ell", "5", "--prime-bound", "100"),
-                     "ValueError: height bound X must be <= 817, got 818", id="decay-X-818"),
+                     f"{DECAY_HEIGHT} 818", id="decay-X-818"),
+        pytest.param(("decay", *CURVE, "--X-list", f"5,{sieve_stats.MAX_DECAY_HEIGHT + 1}", "--ell", "5",
+                      "--prime-bound", "100"), f"{DECAY_HEIGHT} {sieve_stats.MAX_DECAY_HEIGHT + 1}",
+                     id="decay-X-past-the-time-budget"),
+        pytest.param(("image", "--A", "0", "--B", str(10**40), "--ell", "5", "--prime-bound", "100"),
+                     f"{UNSIEVABLE.format(0, 10**40)} 4641588, more than {traces.MAX_TRACE_PRIME}",
+                     id="image-curve-B-10^40"),
+        pytest.param(("image", "--A", str(10**40), "--B", "0", "--ell", "5", "--prime-bound", "100"),
+                     f"{UNSIEVABLE.format(10**40, 0)} {10**10}, more than {traces.MAX_TRACE_PRIME}",
+                     id="image-curve-A-10^40"),
+        pytest.param(("decay", "--A", "0", "--B", str(10**40), "--X-list", "5", "--ell", "5",
+                      "--prime-bound", "100"),
+                     f"{UNSIEVABLE.format(0, 10**40)} 4641588, more than {traces.MAX_TRACE_PRIME}",
+                     id="decay-curve-B-10^40"),
         pytest.param(("decay", *CURVE, "--X-list", "20,0", "--ell", "5", "--prime-bound", "100"),
                      BAD_HEIGHT, id="decay-X-20,0"),
         pytest.param(("trace", "--X", "10", "--ell", "5", "--prime-bound", "1000"), TRACE_CELLS,
@@ -539,7 +554,8 @@ def test_trace_refuses_more_cells_than_its_limit_before_the_box(capsys, monkeypa
 
 
 def test_decay_refuses_a_height_past_int64_before_any_trace(capsys, monkeypatch):
-    # from X = 818 on, 4A^3 + 27B^2 can pass 2^63 inside the box
+    # from X = 818 on, 4A^3 + 27B^2 can pass 2^63 inside the box; the time budget
+    # MAX_DECAY_HEIGHT refuses such X, and many below them, before any trace
     calls = []
     monkeypatch.setattr(sieve_stats, "curve_traces", lambda *args: calls.append(args))
     monkeypatch.setattr(sieve_stats, "frobenius_trace", lambda *args: calls.append(args))
@@ -547,7 +563,7 @@ def test_decay_refuses_a_height_past_int64_before_any_trace(capsys, monkeypatch)
                          "--prime-bound", "100")
     assert code == 2
     assert out == ""
-    assert err == "ValueError: height bound X must be <= 817, got 818\n"
+    assert err == f"{DECAY_HEIGHT} 818\n"
     assert calls == []
 
 
@@ -606,6 +622,34 @@ def test_sieve_refuses_a_height_past_the_unrank_limit_before_any_count(capsys, m
     assert out == ""
     assert err == "ValueError: height bound X must be <= 1000 to unrank, got 2000\n"
     assert calls == []
+
+
+def test_coefficients_too_large_to_sieve_exit_2_in_1_gb_of_address_space(tmp_path):
+    # is_minimal once sieved up to |A|^(1/4), or |B|^(1/4) when A = 0: 10^10 for each
+    # of these, which ended in a MemoryError traceback under a 2 GB limit.  Now
+    # (10^41 + 1, 1) needs no sieve (p^6 | 1 for no p) and (0, 10^40) is refused
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    accepted, refused = tmp_path / "accepted.csv", tmp_path / "refused.csv"
+    accepted.write_text(f"A,B,rank\n{10**41 + 1},1,1\n")
+    refused.write_text(f"A,B,rank\n-1,-1,1\n0,{10**40},1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ellstab.__file__).parents[1]))
+    big = ("--A", "0", "--B", str(10**40))
+    message = f"{UNSIEVABLE.format(0, 10**40)} 4641588, more than {traces.MAX_TRACE_PRIME}\n"
+    for argv, code in [
+        (("image", *big, "--ell", "5", "--prime-bound", "100"), 2),
+        (("decay", *big, "--X-list", "5", "--ell", "5", "--prime-bound", "100"), 2),
+        (("stability", *STABILITY, "--degree", "2", "--ranks", str(refused)), 2),
+        (("stability", *STABILITY, "--degree", "2", "--ranks", str(accepted)), 0),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "ellstab.cli", *argv], capture_output=True,
+                              text=True, env=env, preexec_fn=limit, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert (proc.stdout, proc.stderr) == ("", message)
+        else:
+            assert "Traceback" not in proc.stderr
 
 
 def test_census_at_bound_2500_runs_in_1_gb_of_address_space():

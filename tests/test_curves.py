@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
-from ellstab import curves
+from ellstab import curves, traces
 from ellstab.curves import (
     CurveModel,
     _row_counts,
@@ -25,6 +26,7 @@ from ellstab.curves import (
     unranker,
 )
 from ellstab.errors import BadReduction, InvalidCurve
+from ellstab.primes import primes_up_to
 
 
 def brute_force_box(X):
@@ -53,6 +55,54 @@ def test_is_minimal_examples():
     assert is_minimal(0, 0) is False
     assert is_minimal(32, 64) is False  # 2^4 | 32 and 2^6 | 64
     assert is_minimal(16, 32) is True  # 2^6 does not divide 32
+
+
+def minimal_by_factoring(A, B):
+    """Oracle for is_minimal: the primes of one nonzero coefficient, by sympy's factorint."""
+    if A == 0 and B == 0:
+        return False
+    n, e = (A, 4) if A else (B, 6)
+    return not any(k >= e and A % p**4 == 0 and B % p**6 == 0 for p, k in factorint(n).items())
+
+
+@st.composite
+def prime_power_pairs(draw):
+    """(A, B), each 0 a quarter of the time, else +-m p^e with one p for both, e <= 12."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+
+    def coefficient():
+        if draw(st.integers(0, 3)) == 0:
+            return 0
+        return draw(st.sampled_from([1, -1])) * draw(st.integers(1, 10**6)) * p ** draw(st.integers(0, 12))
+
+    return coefficient(), coefficient()
+
+
+@settings(max_examples=400, deadline=None)
+@given(prime_power_pairs())
+def test_is_minimal_matches_factoring(pair):
+    assert is_minimal(*pair) == minimal_by_factoring(*pair)
+
+
+def test_is_minimal_tries_the_primes_up_to_the_least_root(monkeypatch):
+    # p^4 | A needs p <= |A|^(1/4), p^6 | B needs p <= |B|^(1/6): exact integer roots
+    asked = []
+    monkeypatch.setattr(curves, "primes_up_to", lambda n: asked.append(n) or primes_up_to(n))
+    for A, B in [(7**4, 0), (7**4 - 1, 0), (0, 2**6 * 5**6), (0, 2**6 * 5**6 - 1),
+                 (10**41 + 1, 1), (-(10**12), 10**18 + 1), (5**4, -(5**6))]:
+        is_minimal(A, B)
+    assert asked == [7, 6, 10, 9, 1, 1000, 5]
+
+
+def test_is_minimal_refuses_a_root_past_the_largest_sieve(monkeypatch):
+    asked = []
+    monkeypatch.setattr(curves, "primes_up_to", lambda n: asked.append(n) or ())
+    cap = traces.MAX_TRACE_PRIME
+    assert is_minimal(0, (cap + 1) ** 6 - 1) and asked == [cap]
+    with pytest.raises(ValueError, match=rf"^testing \(0, {(cap + 1) ** 6}\) for minimality needs the"
+                                         rf" primes up to {cap + 1}, more than {cap}$"):
+        is_minimal(0, (cap + 1) ** 6)
+    assert asked == [cap]
 
 
 def test_discriminant_and_height():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.elliptic_curve import EllipticCurve
 
-from ellstab import traces
+from ellstab import primes, traces
 from ellstab.curves import count_curves, curve_box, discriminant, enumerate_curves
 from ellstab.errors import SingularReduction
 from ellstab.primes import legendre_table, primes_up_to, unit_group
@@ -365,14 +365,14 @@ def test_row_cache_stays_under_its_byte_bound_after_a_sweep_and_a_trace_table():
     trace_table(*curve_box(3), 1000, 5)
     held = traces.twist_rows.nbytes
     assert held == sum(rows.nbytes for rows in traces.twist_rows._held.values())
-    assert 0 < held <= traces.twist_rows.limit
+    assert 0 < held <= primes.CACHE_BYTES
     # three int16 rows a prime
     assert held <= 6 * sum(p for p in primes_up_to(1000))
 
 
 def test_row_cache_drops_the_least_recently_used_past_its_bound(monkeypatch):
     # stand-in rows of 6p bytes, under a bound that holds 11 and 17 but not 13 too
-    monkeypatch.setattr(traces.twist_rows, "limit", 6 * (11 + 17))
+    monkeypatch.setattr(primes, "CACHE_BYTES", 6 * (11 + 17))
     built = []
     monkeypatch.setattr(traces, "_correlation_rows",
                         lambda p, g: built.append(p) or np.zeros((3, p), dtype=np.int16))
@@ -390,7 +390,7 @@ def test_row_cache_drops_the_least_recently_used_past_its_bound(monkeypatch):
 
 def test_a_legendre_scan_over_many_primes_holds_no_more_than_the_limit(monkeypatch):
     # the primes below 20000 sum to about 21 MB of int8 tables
-    monkeypatch.setattr(legendre_table, "limit", 1 << 20)
+    monkeypatch.setattr(primes, "CACHE_BYTES", 1 << 20)
     legendre_table.cache_clear()
     try:
         for p in primes_up_to(20000)[2:]:
@@ -403,7 +403,7 @@ def test_a_legendre_scan_over_many_primes_holds_no_more_than_the_limit(monkeypat
 
 
 def test_an_array_past_the_limit_by_itself_is_returned_and_not_kept(monkeypatch):
-    monkeypatch.setattr(legendre_table, "limit", 100)
+    monkeypatch.setattr(primes, "CACHE_BYTES", 100)
     legendre_table.cache_clear()
     try:
         legendre_table(97)
