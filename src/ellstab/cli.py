@@ -168,10 +168,7 @@ def cmd_stability(args) -> int:
         file=sys.stderr,
     )
     if args.ranks:
-        print(
-            "note: rank-1 density is conditional on finiteness of Sha(E/Q)",
-            file=sys.stderr,
-        )
+        print("note: rank-1 density is conditional on finiteness of Sha(E/Q)", file=sys.stderr)
     return 0
 
 
@@ -184,10 +181,8 @@ def cmd_sieve(args) -> int:
     ]
     print("X,ell,t1,t2,d,delta,pi,V,V_over_X")
     for st in stats:
-        print(
-            f"{st.X},{args.ell},{args.t1},{args.t2},{args.d},"
-            f"{_fmt_frac(st.delta)},{st.pi},{_fmt_frac(st.V)},{_fmt_frac(st.v_over_x)}"
-        )
+        print(f"{st.X},{args.ell},{args.t1},{args.t2},{args.d},"
+              f"{_fmt_frac(st.delta)},{st.pi},{_fmt_frac(st.V)},{_fmt_frac(st.v_over_x)}")
     return 0
 
 
@@ -251,12 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sieve", cmd_sieve, help="pair-count variance statistic")
     p.add_argument("--X-list", type=_parse_int_list, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    for name in ("--ell", "--t1", "--t2", "--d", "--samples", "--seed"):
+        p.add_argument(name, type=int, required=True)
 
     p = add("decay", cmd_decay, parents=[traced], help="trace-twin proxy density decay")
     p.add_argument("--A", type=int, required=True)

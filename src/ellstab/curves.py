@@ -8,7 +8,7 @@ unranks a position in lexicographic order without building the box.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,7 +46,9 @@ def is_minimal(A: int, B: int) -> bool:
     """True iff no prime p has both p^4 | A and p^6 | B; (0, 0) is non-minimal by convention.
 
     Such a p is at most |A|^(1/4) if A != 0 and |B|^(1/6) if B != 0.  A pair whose least
-    root passes MAX_TRACE_PRIME, the largest sieve any command takes, is refused before the sieve.
+    root passes MAX_TRACE_PRIME, the largest prime any command takes, is refused.  Else
+    p is a q with q^12 | h = gcd(A^3, B^2), found by trial division up to h's 12th root,
+    with each q divided out of h (so no composite q divides it): no prime list is kept.
     """
     if A == 0 and B == 0:
         return False
@@ -54,7 +56,17 @@ def is_minimal(A: int, B: int) -> bool:
     if cap > MAX_TRACE_PRIME:
         raise ValueError(f"testing ({A}, {B}) for minimality needs the primes up to {cap},"
                          f" more than {MAX_TRACE_PRIME}")
-    return all(A % p**4 != 0 or B % p**6 != 0 for p in primes_up_to(cap))
+    h, q = gcd(A**3, B * B), 2
+    root = _iroot(h, 12)
+    while q <= root:
+        if h % q == 0:
+            if h % q**12 == 0:
+                return False
+            while h % q == 0:
+                h //= q
+            root = _iroot(h, 12)
+        q += 1 + (q > 2)  # 2, then the odd q
+    return True
 
 
 @dataclass(frozen=True)

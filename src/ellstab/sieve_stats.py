@@ -12,14 +12,14 @@ in one walk over the largest box that counts every smaller box on the way.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .curves import CurveModel, check_countable, check_unrankable, count_curves, curve_box
 from .curves import discriminant, row_curves, unranker
 from .matgroup import delta_density
-from .primes import check_ell, check_unit, primes_up_to
+from .primes import check_ell, check_unit
 from .traces import check_ell_and_bound, curve_traces, frobenius_trace, good_primes
 from .traces import trace_census_table  # noqa: F401  perfbench/inprocess.py wraps this binding
 
@@ -28,16 +28,17 @@ _EXHAUSTIVE_PAIR_LIMIT = 10**6
 
 #: pairs per block of variance_stat: its draws and temporaries are a few
 #: int64 and bool columns of this length.
-#: Cold sieve --X-list 20,24 --samples 200000 peaked at 40.0-40.4 MB with
-#: 2^14, 41.2-41.3 MB with 2^15 and 43.5-43.6 MB with 2^16, and 2^14 was no slower
-_PAIR_BLOCK = 1 << 14
+#: Cold sieve --X-list 20,24 --samples 200000, its p = 11 rows still taken by FFT, peaked at
+#: 36.7-36.8 MB with 2^11, 36.8-36.9 MB with 2^12, 37.3-37.5 MB with 2^13 and 37.5-37.7 MB with
+#: 2^14 (36.2-36.5 MB at 2^12 by character sums); 2^11 was 20-40 % slower (2 vCPU VM)
+_PAIR_BLOCK = 1 << 12
 
 #: most draws variance_stat takes: over 10^5 draws one cost 0.46 us at X = 24, 2.5 us
 #: at X = 200 and 10 us at X = 1000, the largest X unranked (2 vCPU VM), so the
 #: limit is about 100 s of work
 MAX_SAMPLES = 10**7
 
-#: t_A_density_curve keeps one bool verdict table over all (A mod p, B mod p) for p
+#: _verdict_kernel keeps one bool verdict table over all (A mod p, B mod p) for p
 #: below this, read from the census table (for every p < 1000 they would hold 50 MB);
 #: without them the benchmark's decay took 1.0 s instead of 0.23 s (2 vCPU VM)
 _VERDICT_TABLE_PRIME = 200
@@ -52,18 +53,16 @@ def pair_delta(t1: int, t2: int, d: int, ell: int) -> Fraction:
 
 
 def pi_count(X: int, d: int, ell: int) -> int:
-    """Number of primes p <= X with p = d mod ell."""
+    """Number of primes 5 <= p <= X with p != ell and p = d mod ell, those pi_pair counts over."""
     check_unit(d, ell)
-    return sum(1 for p in primes_up_to(X) if p % ell == d % ell)
+    return len(_admissible_primes(X, d, ell))
 
 
 def _admissible_primes(X: int, d: int, ell: int) -> list[int]:
     return [p for p in good_primes(1, X, ell) if p % ell == d % ell]
 
 
-def pi_pair(
-    e1: CurveModel, e2: CurveModel, X: int, t1: int, t2: int, d: int, ell: int
-) -> int:
+def pi_pair(e1: CurveModel, e2: CurveModel, X: int, t1: int, t2: int, d: int, ell: int) -> int:
     """Primes p <= X, p = d mod ell, good for both curves, with traces (t1, t2)."""
     check_unit(d, ell)
     return sum(
@@ -89,15 +88,35 @@ class SieveStat:
         return self.V / self.X
 
 
-def _match_columns(
-    A: np.ndarray, B: np.ndarray, X: int, t: int, d: int, ell: int
-) -> list[np.ndarray]:
-    """Per admissible prime, the bool vector [p good and t_p = t] over the curves."""
-    cols = []
-    for p in _admissible_primes(X, d, ell):
+def _verdict_kernel(ell: int, bad: bool) -> Callable[..., np.ndarray]:
+    """verdicts(A, B, p, residues): [a_p mod ell in residues], or bad where p divides the discriminant.
+
+    A verdict depends on (A mod p, B mod p) alone.  Below _VERDICT_TABLE_PRIME the
+    first ask of a prime and residue set builds one bool table over all of them
+    from one curve_traces call (which reads the census table), kept as long as
+    the kernel, and each ask is one gather; a larger prime costs one curve_traces call an ask.
+    """
+    tables: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+
+    def traced(A, B, p: int, residues: tuple[int, ...]) -> np.ndarray:
         a_p, good = curve_traces(A, B, p)
-        cols.append(good & (a_p % ell == t % ell))
-    return cols
+        return np.where(good, np.isin(a_p % ell, residues), bad)
+
+    def verdicts(A, B, p: int, residues: tuple[int, ...]) -> np.ndarray:
+        if p >= _VERDICT_TABLE_PRIME:
+            return traced(A, B, p, residues)
+        table = tables.get((p, residues))
+        if table is None:
+            r = np.arange(p)
+            table = tables[p, residues] = traced(r[:, None], r, p, residues).ravel()
+        return table[A % p * p + B % p]
+
+    return verdicts
+
+
+def _match_columns(A, B, X: int, t: int, d: int, ell: int, verdicts) -> list[np.ndarray]:
+    """Per admissible prime, [p good and t_p = t] over the curves, by verdicts = _verdict_kernel(ell, bad=False)."""
+    return [verdicts(A, B, p, (t % ell,)) for p in _admissible_primes(X, d, ell)]
 
 
 def _drawn_pairs(n: int, sample_size: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -130,8 +149,8 @@ def variance_stat(
     Over index pairs (i1, i2): all n^2 of curve_box while n^2 <= _EXHAUSTIVE_PAIR_LIMIT,
     else sample_size seeded draws (all of i1, then i2; see _drawn_pairs).  The
     pairs are walked in blocks of _PAIR_BLOCK: each side of a block is unranked
-    (through one unranker(X)) and traced alone.  A pair's pi_pair is
-    k = sum_p x_p(E1) y_p(E2); V expands in sum(k) and sum(k^2), kept as ints.
+    (through one unranker(X)) and matched alone by the call's one verdict kernel.
+    A pair's pi_pair is k = sum_p x_p(E1) y_p(E2); V expands in sum(k) and sum(k^2), kept as ints.
     """
     check_ell(ell)
     delta = pair_delta(t1, t2, d, ell)  # rejects d = 0 mod ell
@@ -153,19 +172,16 @@ def variance_stat(
         side = unranker(X)
         num_pairs = sample_size
         blocks = _drawn_pairs(n, sample_size, seed)
+    verdicts = _verdict_kernel(ell, bad=False)
     sum_k = sum_k2 = 0
     for b1, b2 in blocks:
         k = np.zeros(len(b1), dtype=np.int64)
-        for xc, yc in zip(_match_columns(*side(b1), X, t1, d, ell),
-                          _match_columns(*side(b2), X, t2, d, ell)):
+        for xc, yc in zip(_match_columns(*side(b1), X, t1, d, ell, verdicts),
+                          _match_columns(*side(b2), X, t2, d, ell, verdicts)):
             k += xc & yc
         sum_k += int(k.sum())
         sum_k2 += int((k * k).sum())
-    v = (
-        Fraction(sum_k2, num_pairs)
-        - 2 * mean * Fraction(sum_k, num_pairs)
-        + mean * mean
-    )
+    v = Fraction(sum_k2, num_pairs) - 2 * mean * Fraction(sum_k, num_pairs) + mean * mean
     return SieveStat(X, delta, pi, num_pairs, exhaustive, v)
 
 
@@ -175,20 +191,17 @@ def t_A_density_curve(
     """Per X, in input order, the fraction of C(X) whose traces mod ell match a's up to sign below bound.
 
     A curve passes at p when t_p = +-t_p(a) mod ell or p divides its
-    discriminant, which depends on (A mod p, B mod p) alone.  A prime
-    p < _VERDICT_TABLE_PRIME gets, when first asked, one bool table over
-    all (A mod p, B mod p) from a single curve_traces call (which reads the
-    census table), so a row's verdicts are one gather; a larger prime traces
-    the row's survivors in one curve_traces call.  The head primes, the
-    first targets whose product M stays within (2 X^3 + 1) // 8 at the
-    largest X (so each class keeps at least 8 candidate B), give each row A
-    by CRT the classes c mod M that pass them all, and only the B = c mod M
-    in [-X^3, X^3] are generated, of which row_curves keeps the curves.  The
-    later primes then drop that row's survivors one by one.  Minimality and
-    singularity do not depend on X, so the boxes nest: one walk over the
-    largest box's rows counts each row's survivors for every X with
-    |A| <= X^2 and |B| <= X^3.  The denominators are count_curves(X), so no
-    row of any box is built.
+    discriminant, by one _verdict_kernel(ell, bad=True): a row's verdicts at p
+    are one gather or one curve_traces call.  The head primes, the first
+    targets whose product M stays within (2 X^3 + 1) // 8 at the largest X
+    (so each class keeps at least 8 candidate B), give each row A by CRT the
+    classes c mod M that pass them all, read from one table of the classes'
+    verdicts per A mod p, and only the B = c mod M in [-X^3, X^3] are
+    generated, of which row_curves keeps the curves.  The later primes then
+    drop that row's survivors one by one.  Minimality and singularity do not
+    depend on X, so the boxes nest: one walk over the largest box's rows
+    counts each row's survivors for every X with |A| <= X^2 and |B| <= X^3.
+    The denominators are count_curves(X), so no row of any box is built.
     """
     check_ell_and_bound(ell, bound)
     if bound < 50:
@@ -203,43 +216,29 @@ def t_A_density_curve(
     heights = np.array(X_values, dtype=np.int64)
     X_top = max(X_values)
     b_max = X_top**3
-    targets = [(p, frobenius_trace(a.A, a.B, p) % ell)
+    targets = [(p, (ta := frobenius_trace(a.A, a.B, p) % ell, -ta % ell))  # +-t_p(a) mod ell
                for p in good_primes(discriminant(a), bound, ell)]
     head, M = 0, 1
     while head < len(targets) and M * targets[head][0] <= (2 * b_max + 1) // 8:
         M *= targets[head][0]
         head += 1
-    head_classes = [(p, ta, np.arange(M) % p) for p, ta in targets[:head]]
-    tables: dict[int, np.ndarray] = {}
-
-    def verdicts(A, B, p: int, ta: int) -> np.ndarray:
-        a_p, good = curve_traces(A, B, p)
-        t = a_p % ell
-        return ~good | (t == ta) | (t == (-ta) % ell)
-
-    def passes(p: int, ta: int, A: int, s: np.ndarray) -> np.ndarray:
-        """Verdicts of the curves (A, B) with B = s mod p, for residues 0 <= s < p."""
-        if p >= _VERDICT_TABLE_PRIME:
-            return verdicts(A, s, p, ta)
-        if p not in tables:
-            r = np.arange(p)
-            tables[p] = verdicts(r[:, None], r, p, ta)
-        return tables[p][A % p][s]
-
+    verdicts = _verdict_kernel(ell, bad=True)
+    head_verdicts = [(p, verdicts(np.arange(p)[:, None], np.arange(M), p, residues))
+                     for p, residues in targets[:head]]
     per_class = np.arange(-(-(2 * b_max + 1) // M)) * M
     matched = np.zeros(len(heights), dtype=np.int64)
     for A in range(-X_top * X_top, X_top * X_top + 1):
         pattern = np.ones(M, dtype=bool)
-        for p, ta, c_mod_p in head_classes:
-            pattern &= passes(p, ta, A, c_mod_p)
+        for p, by_class in head_verdicts:
+            pattern &= by_class[A % p]
         c = np.flatnonzero(pattern)
         first = (c + b_max) % M - b_max  # the least B >= -X^3 in each class c
         b = first[:, None] + per_class
         b = row_curves(A, b[b <= b_max], X_top)
-        for p, ta in targets[head:]:
+        for p, residues in targets[head:]:
             if not len(b):
                 break
-            b = b[passes(p, ta, A, b % p)]
+            b = b[verdicts(A, b, p, residues)]
         if len(b):  # most rows keep no curve
             matched += (abs(A) <= heights**2) * np.count_nonzero(np.abs(b)[:, None] <= heights**3, axis=0)
     return [(X, Fraction(int(m), count_curves(X))) for X, m in zip(X_values, matched)]
@@ -247,8 +246,7 @@ def t_A_density_curve(
 
 def zeta10() -> float:
     """zeta(10) by partial summation, until the tail bound N^-9 / 9 is <= 10^-16."""
-    n = 1
-    total = 0.0
+    n, total = 1, 0.0
     while n ** -9 / 9 > 10.0 ** -16:
         total += n ** -10
         n += 1
@@ -266,9 +264,5 @@ def curve_count_check(X_values) -> list[tuple[int, int, float, float]]:
     for X in X_values:
         check_countable(X)
     c1 = lead_constant()
-    rows = []
-    for X in X_values:
-        count = count_curves(X)
-        main = c1 * X**5
-        rows.append((X, count, main, abs(count / main - 1.0)))
-    return rows
+    counts = [(X, count_curves(X), c1 * X**5) for X in X_values]
+    return [(X, count, main, abs(count / main - 1.0)) for X, count, main in counts]

@@ -11,7 +11,6 @@ outside the Hasse bound or out of key order.  Files are immutable; merging is
 a pure function over loaded caches.
 """
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ _CSV_CHUNK = 1 << 13
 
 
 def _checksum(block: bytes | memoryview) -> bytes:
+    import hashlib  # here, not at the top: its OpenSSL adds 3.6 MB to every process that loads the package
     return hashlib.blake2b(block, digest_size=8).digest()
 
 

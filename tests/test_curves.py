@@ -84,25 +84,31 @@ def test_is_minimal_matches_factoring(pair):
     assert is_minimal(*pair) == minimal_by_factoring(*pair)
 
 
-def test_is_minimal_tries_the_primes_up_to_the_least_root(monkeypatch):
-    # p^4 | A needs p <= |A|^(1/4), p^6 | B needs p <= |B|^(1/6): exact integer roots
-    asked = []
-    monkeypatch.setattr(curves, "primes_up_to", lambda n: asked.append(n) or primes_up_to(n))
-    for A, B in [(7**4, 0), (7**4 - 1, 0), (0, 2**6 * 5**6), (0, 2**6 * 5**6 - 1),
-                 (10**41 + 1, 1), (-(10**12), 10**18 + 1), (5**4, -(5**6))]:
-        is_minimal(A, B)
-    assert asked == [7, 6, 10, 9, 1, 1000, 5]
+def test_is_minimal_finds_a_prime_at_the_least_root():
+    # p^4 | A needs p <= |A|^(1/4), p^6 | B needs p <= |B|^(1/6): a prime at the
+    # exact root is found, the largest one below MAX_TRACE_PRIME among them
+    P = 2_097_143
+    assert [is_minimal(A, B) for A, B in [
+        (7**4, 0), (7**4, 7**6 - 1), (0, 2**6 * 5**6), (0, 2**6 * 5**6 - 1), (10**41 + 1, 1),
+        (-(10**12), 10**18 + 1), (5**4, -(5**6)), (P**4, 0), (P**4, P**6), (3 * P**4, P**5),
+    ]] == [False, True, False, True, True, True, False, False, False, True]
 
 
-def test_is_minimal_refuses_a_root_past_the_largest_sieve(monkeypatch):
-    asked = []
-    monkeypatch.setattr(curves, "primes_up_to", lambda n: asked.append(n) or ())
+def test_is_minimal_keeps_no_prime_list_per_root():
+    # it cached one primes_up_to(root) tuple per distinct root, about 5 MB each
+    # near MAX_TRACE_PRIME: 40 such calls once held 221 MB
+    before = primes_up_to.cache_info().currsize
+    for k in range(5):
+        assert is_minimal((2 * 10**6 - 1000 * k) ** 4 + 1, 10**40)
+    assert primes_up_to.cache_info().currsize == before
+
+
+def test_is_minimal_refuses_a_root_past_the_largest_sieve():
     cap = traces.MAX_TRACE_PRIME
-    assert is_minimal(0, (cap + 1) ** 6 - 1) and asked == [cap]
+    assert is_minimal(0, (cap + 1) ** 6 - 1)
     with pytest.raises(ValueError, match=rf"^testing \(0, {(cap + 1) ** 6}\) for minimality needs the"
                                          rf" primes up to {cap + 1}, more than {cap}$"):
         is_minimal(0, (cap + 1) ** 6)
-    assert asked == [cap]
 
 
 def test_discriminant_and_height():

@@ -1,6 +1,9 @@
 """Every name that a module of the package imports is read in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,13 @@ def test_unread_imports_finds_a_name_bound_and_never_read():
 def test_each_module_reads_every_name_it_imports(path):
     unread = [name for name in unread_imports(path.read_text()) if (path.stem, name) not in PINNED]
     assert unread == []
+
+
+def test_the_cli_loads_no_openssl_random_or_fft_at_import():
+    # hashlib's OpenSSL alone added 3.6 MB to every command; store imports it
+    # when it checksums, and numpy.random and numpy.fft load where they are used
+    code = ("import sys, ellstab.cli; "
+            "print(sorted(m for m in ('_hashlib', 'numpy.random', 'numpy.fft') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ellstab.__file__).parents[1])}  # this checkout
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

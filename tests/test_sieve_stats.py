@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from ellstab.traces import SINGULAR, curve_traces, frobenius_trace, good_primes,
 def test_pi_count_examples():
     assert pi_count(10, 1, 5) == 0
     assert pi_count(11, 1, 5) == 1
-    assert pi_count(2, 2, 5) == 1
+    assert pi_count(2, 2, 5) == 0  # 2 is no prime pi_pair counts over
 
 
 def test_pi_pair_same_curve_different_traces():
@@ -146,8 +150,9 @@ def test_monte_carlo_estimates_exhaustive():
 
     A, B = curve_box(X)
     n = len(A)
-    x_cols = _match_columns(A, B, X, t1, d, ell)
-    y_cols = _match_columns(A, B, X, t2, d, ell)
+    verdicts = sieve_stats._verdict_kernel(ell, bad=False)
+    x_cols = _match_columns(A, B, X, t1, d, ell, verdicts)
+    y_cols = _match_columns(A, B, X, t2, d, ell, verdicts)
     mean = pair_delta(t1, t2, d, ell) * pi_count(X, d, ell)
     ests = []
     for seed in range(5):
@@ -217,7 +222,9 @@ def test_sampled_pairs_match_scalar_oracle_at_X_100(t1, t2, d, ell):
     i2 = rng.integers(0, count_curves(X), size=samples)
     (A1, B1), (A2, B2) = unranker(X)(i1), unranker(X)(i2)
     k = np.zeros(samples, dtype=np.int64)
-    for xc, yc in zip(_match_columns(A1, B1, X, t1, d, ell), _match_columns(A2, B2, X, t2, d, ell)):
+    verdicts = sieve_stats._verdict_kernel(ell, bad=False)
+    for xc, yc in zip(_match_columns(A1, B1, X, t1, d, ell, verdicts),
+                      _match_columns(A2, B2, X, t2, d, ell, verdicts)):
         k += xc & yc
     oracle = [
         pi_pair(CurveModel(a1, b1), CurveModel(a2, b2), X, t1, t2, d, ell)
@@ -267,10 +274,74 @@ def test_sampled_variance_holds_one_block_of_temporaries():
     assert peak < 7 * 2**20
 
 
+def test_sampled_variance_centres_on_the_primes_pi_pair_counts_over():
+    # at X = 12, d = 2, ell = 5 the primes = 2 mod 5 are 2 and 7, and pi_pair
+    # counts 7 alone (it takes 5 <= p <= X, p != ell): the mean is delta * 1
+    X, t1, t2, d, ell, samples, seed = 12, 1, 2, 2, 5, 300, 3
+    admissible = [p for p in range(5, X + 1) if all(p % q for q in range(2, p))
+                  and p != ell and p % ell == d % ell]
+    assert admissible == [7]
+    rng = np.random.default_rng(seed)
+    i1 = rng.integers(0, count_curves(X), size=samples)
+    i2 = rng.integers(0, count_curves(X), size=samples)
+    (A1, B1), (A2, B2) = unranker(X)(i1), unranker(X)(i2)
+    ks = [pi_pair(CurveModel(a1, b1), CurveModel(a2, b2), X, t1, t2, d, ell)
+          for a1, b1, a2, b2 in zip(A1.tolist(), B1.tolist(), A2.tolist(), B2.tolist())]
+    mean = pair_delta(t1, t2, d, ell) * len(admissible)
+    st = variance_stat(X, t1, t2, d, ell, samples, seed)
+    assert st.pi == len(admissible) and 0 < sum(ks)
+    assert st.V == sum((k - mean) ** 2 for k in ks) / samples
+
+
+@pytest.mark.parametrize("X, d, samples", [(20, 2, 5000), (250, 2, 3000), (230, 3, 3000)],
+                         ids=["X20-p7-17", "X250-past-the-table-prime", "X230-d3"])
+def test_sampled_variance_does_not_depend_on_the_table_prime(X, d, samples, monkeypatch):
+    # at X = 20 and d = 2 the admissible primes are 7 and 17 (12 splits them); at
+    # X = 250 they run up to 227 and at X = 230 (d = 3) up to 223, both past 200,
+    # so the default table prime traces them; 5000 pairs span two blocks
+    expected = variance_stat(X, 1, 2, d, 5, samples, 20240101)
+    assert expected.V != 0 and not expected.exhaustive
+    for table_prime in (0, 12, 1000):
+        monkeypatch.setattr(sieve_stats, "_VERDICT_TABLE_PRIME", table_prime)
+        assert variance_stat(X, 1, 2, d, 5, samples, 20240101) == expected
+
+
+@pytest.mark.parametrize("X, t1, t2, d, samples, built", [
+    (20, 1, 2, 2, 3 * _PAIR_BLOCK, {7: 2, 17: 2}),  # one table per prime and target
+    (20, 1, 6, 2, 3 * _PAIR_BLOCK, {7: 1, 17: 1}),  # t1 = t2 mod 5: one target
+    (24, 1, 2, 1, 200000, {11: 2}),  # an X of the benchmark's sieve
+])
+def test_variance_builds_a_census_table_once_per_prime_and_target(X, t1, t2, d, samples, built,
+                                                                  monkeypatch):
+    # tracing each block's curves built a table per block, side and prime:
+    # 6 a prime in the first two cases and 98 at X = 24
+    requested = []
+    census = traces.trace_census_table
+
+    def spy(p):
+        requested.append(p)
+        return census(p)
+
+    monkeypatch.setattr(traces, "trace_census_table", spy)
+    variance_stat(X, t1, t2, d, 5, samples, 20240101)
+    assert {p: requested.count(p) for p in requested} == built
+
+
+def test_the_benchmark_sieve_loads_no_fft():
+    # its one admissible prime, 11, is below traces._FFT_PRIME: the first use
+    # of numpy.fft added 0.7 MB to the cold sieve's peak RSS
+    code = ("import sys; from ellstab.sieve_stats import variance_stat; "
+            "variance_stat(24, 1, 2, 1, 5, 1000, 1); print('numpy.fft' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(sieve_stats.__file__).parents[1])}  # this checkout
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("n", [5, 2**32 - 1, 2**32, 2**32 + 1, 10**18])
-@pytest.mark.parametrize("size", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK + 1])
+@pytest.mark.parametrize("size", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK + 1, 4 * _PAIR_BLOCK - 1, 4 * _PAIR_BLOCK + 1])
 def test_blocked_draws_equal_one_draw_of_i1_then_one_of_i2(n, size):
-    # numpy draws a bound n <= 2^32 from 32-bit halves and a larger one from 64-bit words
+    # numpy draws a bound n <= 2^32 from 32-bit halves and a larger one from 64-bit words;
+    # the sizes end one short of a block and one past it, after one block and after four
     rng = np.random.default_rng(20240101)
     i1, i2 = rng.integers(0, n, size=size), rng.integers(0, n, size=size)
     blocks = list(_drawn_pairs(n, size, 20240101))

@@ -333,6 +333,20 @@ def test_twist_rows_fall_back_to_sums_when_the_fft_rounding_fails(monkeypatch):
             assert rows[i][good].tolist() == a[good].tolist()
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 43, 47, 53])
+def test_rows_below_the_fft_prime_are_sums_equal_to_the_ffts(p, monkeypatch):
+    # below _FFT_PRIME the rows are character sums; with the FFT forced they
+    # agree at every nonsingular s, the only entries any reader takes
+    g = int(unit_group(p)[0][1])
+    rows = traces._correlation_rows(p, g)
+    monkeypatch.setattr(traces, "_FFT_PRIME", 0)
+    fft_rows = traces._correlation_rows(p, g)
+    s = np.arange(p)
+    for i, r in enumerate((0, 1, g)):
+        good = traces._nonsingular(r, s, p)
+        assert rows[i][good].tolist() == fft_rows[i][good].tolist()
+
+
 def test_rows_are_built_only_for_batches_at_the_threshold_at_the_top_prime(monkeypatch):
     # p = 2,097,143 with stand-ins for both sources: a batch one below the
     # threshold never asks for rows, a batch at it never takes the sum
